@@ -19,3 +19,8 @@ let agrees a b =
   match (a, b) with
   | Verified, Refuted _ | Refuted _, Verified -> false
   | _ -> true
+
+let settle settled incoming =
+  match (settled, incoming) with
+  | None, _ | Some (Timeout | Unknown), Refuted _ -> Some incoming
+  | Some _, _ -> settled

@@ -19,3 +19,10 @@ val pp : Format.formatter -> t -> unit
 val agrees : t -> t -> bool
 (** Whether two outcomes are consistent with each other (solved verdicts
     must match; [Timeout]/[Unknown] are consistent with anything). *)
+
+val settle : t option -> t -> t option
+(** [settle settled incoming] is the verdict once [incoming] arrives
+    after [settled] ([None] while nothing has settled yet).  The first
+    outcome settles; a [Refuted] replaces a settled [Timeout] or
+    [Unknown], so a counterexample found while the search winds down is
+    never dropped; nothing else replaces a settled outcome. *)

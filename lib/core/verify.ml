@@ -123,11 +123,11 @@ let rec subtree_proved cache = function
       end
 
 (* A unit of work: one sub-region of the input, the split depth that
-   produced it, its own RNG stream, and its proof-cache parent link.
-   Carrying the RNG in the item (split off the parent's at push time)
-   makes the search tree a pure function of the root seed — independent
-   of which worker processes which region, so a fixed (seed, workers)
-   pair is reproducible. *)
+   produced it, its RNG stream, and its proof-cache parent link.  With
+   several workers each item carries a stream split off its parent's at
+   push time, so the search tree is a pure function of the root seed,
+   whichever worker processes which region.  One worker pops regions in
+   a fixed order, and every item shares the caller's stream. *)
 type item = {
   region : Box.t;
   depth : int;
@@ -135,10 +135,10 @@ type item = {
   pnode : pnode option;
 }
 
-(* Everything one region step needs, bundled so the in-process drains
-   ([run]'s sequential and parallel paths) and the distributed subtree
-   entry point ([run_subtree], charon-dverify's worker loop) share a
-   single implementation of the PGD / analyze / split pipeline. *)
+(* Everything one region step needs, bundled so [run] and the
+   distributed subtree entry point ([run_subtree], charon-dverify's
+   worker loop) share one search loop and one implementation of the
+   PGD / analyze / split pipeline. *)
 type ctx = {
   cfg : config;
   budget : Common.Budget.t;
@@ -385,6 +385,115 @@ let process ctx ~kjobs ~rng ~pnode region depth :
     end
   end
 
+(* The search loop: Algorithm 1's recursion as a priority worklist
+   that [workers] domains drain ([Parallel.Pool.run] runs one worker
+   inline on the caller's domain).  Depth-first pops the deepest region
+   first; siblings share a depth and the left one is pushed first, so
+   one worker visits regions in the recursion's left-first order.
+   Best-first pops the region whose parent's PGD value is smallest.
+
+   A [Refuted]/[Timeout]/[Unknown] answer from any worker settles the
+   result ([Common.Outcome.settle]) and cancels outstanding work;
+   [Verified] requires the queue to drain empty, because every
+   sub-region carries part of the proof obligation.  [stop] is polled
+   once per popped region, before it is processed: when it fires, the
+   loop settles [Timeout] and leaves the region undecided, as it does a
+   region whose processing ran out of budget.  After a [Timeout] the
+   second component is the unexplored frontier, the undecided region
+   first and then the queue in pop order.  It is exact at one worker;
+   with more, regions that other workers had in flight are missing. *)
+let search ctx ~workers ~rng ~stop region ~depth =
+  let queue = Parallel.Wqueue.create () in
+  let cancel = Parallel.Cancel.create () in
+  let result = Atomic.make None in
+  let rec settle outcome =
+    let cur = Atomic.get result in
+    if Atomic.compare_and_set result cur (Common.Outcome.settle cur outcome)
+    then begin
+      if Option.is_none cur then begin
+        Parallel.Cancel.cancel cancel;
+        Parallel.Wqueue.close queue
+      end
+    end
+    else settle outcome
+  in
+  let undecided = Atomic.make None in
+  let give_up it =
+    Atomic.set undecided (Some it);
+    settle Common.Outcome.Timeout
+  in
+  let priority ~depth ~fstar =
+    match ctx.cfg.strategy with
+    | Depth_first -> -.float_of_int depth
+    | Best_first -> fstar
+  in
+  let item_rng parent =
+    if workers = 1 then parent else Linalg.Rng.split parent
+  in
+  Parallel.Wqueue.push queue ~priority:0.0
+    { region; depth; rng = item_rng rng; pnode = None };
+  let worker id =
+    let my_tasks = ref 0 in
+    let rec loop () =
+      match Parallel.Wqueue.pop queue with
+      | None -> ()
+      | Some it ->
+          incr my_tasks;
+          if Parallel.Cancel.cancelled cancel then ()
+          else if stop () then give_up it
+          else begin
+            (* Solo-in-flight nesting policy: grant this region the
+               full [-j] budget for its GEMM kernels only when it is
+               the single outstanding work item — no queued regions,
+               no other worker mid-region.  The check is race-free:
+               only in-flight workers push, so with outstanding = 1
+               (us) nobody can concurrently add work or start a
+               region.  Any other time the budget is spent on region
+               parallelism and kernels stay sequential, so computing
+               domains never exceed [workers]. *)
+            let kjobs =
+              if Parallel.Wqueue.outstanding queue = 1 then workers else 1
+            in
+            match
+              process ctx ~kjobs ~rng:it.rng ~pnode:it.pnode it.region
+                it.depth
+            with
+            | Either.Left Common.Outcome.Timeout -> give_up it
+            | Either.Left outcome -> settle outcome
+            | Either.Right (children, child_pnode) ->
+                List.iter
+                  (fun (r, d, fstar) ->
+                    Parallel.Wqueue.push queue
+                      ~priority:(priority ~depth:d ~fstar)
+                      {
+                        region = r;
+                        depth = d;
+                        rng = item_rng it.rng;
+                        pnode = child_pnode;
+                      })
+                  children
+          end;
+          Parallel.Wqueue.finish queue;
+          loop ()
+    in
+    loop ();
+    if Telemetry.tracing () then
+      Telemetry.Trace.instant "verify.worker"
+        ~attrs:
+          [
+            ("worker", Telemetry.Jsonw.Int id);
+            ("tasks", Telemetry.Jsonw.Int !my_tasks);
+          ]
+  in
+  Parallel.Pool.run ~workers worker;
+  match Atomic.get result with
+  | None -> (Common.Outcome.Verified, [])
+  | Some Common.Outcome.Timeout ->
+      ( Common.Outcome.Timeout,
+        Option.to_list (Atomic.get undecided) @ Parallel.Wqueue.leftovers queue
+      )
+  | Some outcome -> (outcome, [])
+
 let run ?(config = default_config) ?(budget = Common.Budget.unlimited ())
     ?(workers = 1) ?cancel ?on_progress ?proofcache ~rng ~policy net
     (prop : Common.Property.t) =
@@ -394,152 +503,6 @@ let run ?(config = default_config) ?(budget = Common.Budget.unlimited ())
     make_ctx ~config ~budget ~cancel ~on_progress ~proofcache ~policy net prop
   in
   let counters = ctx.ctrs in
-  let process ~kjobs ~rng ~pnode region depth =
-    process ctx ~kjobs ~rng ~pnode region depth
-  in
-  (* The worklist realises the strategy: LIFO for the paper's recursion
-     (Algorithm 1, left branch first), a min-priority queue on the
-     parent's PGD value for best-first (regions closest to a violation
-     are refined first). *)
-  let sequential () =
-    match config.strategy with
-    | Depth_first ->
-        let rec drain = function
-          | [] -> Common.Outcome.Verified
-          | (region, depth, pnode) :: rest -> begin
-              match process ~kjobs:1 ~rng ~pnode region depth with
-              | Either.Left outcome -> outcome
-              | Either.Right (children, child_pnode) ->
-                  drain
-                    (List.map (fun (r, d, _) -> (r, d, child_pnode)) children
-                    @ rest)
-            end
-        in
-        drain [ (prop.Common.Property.region, 0, None) ]
-    | Best_first ->
-        let heap = Common.Pqueue.create () in
-        Common.Pqueue.push heap ~priority:0.0
-          (prop.Common.Property.region, 0, None);
-        let rec drain () =
-          match Common.Pqueue.pop heap with
-          | None -> Common.Outcome.Verified
-          | Some (_, (region, depth, pnode)) -> begin
-              match process ~kjobs:1 ~rng ~pnode region depth with
-              | Either.Left outcome -> outcome
-              | Either.Right (children, child_pnode) ->
-                  List.iter
-                    (fun (r, d, fstar) ->
-                      Common.Pqueue.push heap ~priority:fstar
-                        (r, d, child_pnode))
-                    children;
-                  drain ()
-            end
-        in
-        drain ()
-  in
-  (* Parallel drain: the worklist becomes a shared work-sharing queue
-     and [workers] domains race on it.  A [Refuted]/[Timeout]/[Unknown]
-     answer from any worker settles the result and cancels outstanding
-     work (with Refuted allowed to upgrade a raced Timeout/Unknown, see
-     [settle]); [Verified] requires the queue to drain empty, because
-     every sub-region carries part of the proof obligation. *)
-  let parallel () =
-    let queue = Parallel.Wqueue.create () in
-    let cancel = Parallel.Cancel.create () in
-    let result = Atomic.make None in
-    (* First settle wins the cancellation, but not unconditionally the
-       answer: a worker that exhausts its budget races workers still
-       probing their regions, and first-settle-wins would let its
-       Timeout/Unknown beat a concurrently found counterexample —
-       silently dropping a real refutation.  So Refuted may upgrade an
-       already-settled Timeout/Unknown (never the reverse: once a
-       counterexample is in, it stays).  The CAS loop re-reads the
-       stored value so the swap only replaces the exact outcome it
-       inspected. *)
-    let rec settle outcome =
-      match Atomic.get result with
-      | None ->
-          if Atomic.compare_and_set result None (Some outcome) then begin
-            Parallel.Cancel.cancel cancel;
-            Parallel.Wqueue.close queue
-          end
-          else settle outcome
-      | Some (Common.Outcome.Timeout | Common.Outcome.Unknown) as cur -> (
-          match outcome with
-          | Common.Outcome.Refuted _ ->
-              if not (Atomic.compare_and_set result cur (Some outcome)) then
-                settle outcome
-          | _ -> ())
-      | Some (Common.Outcome.Verified | Common.Outcome.Refuted _) -> ()
-    in
-    let priority ~depth ~fstar =
-      match config.strategy with
-      (* Deepest-first approximates the sequential LIFO order and keeps
-         the frontier small. *)
-      | Depth_first -> -.float_of_int depth
-      | Best_first -> fstar
-    in
-    Parallel.Wqueue.push queue ~priority:0.0
-      {
-        region = prop.Common.Property.region;
-        depth = 0;
-        rng = Linalg.Rng.split rng;
-        pnode = None;
-      };
-    let worker id =
-      let my_tasks = ref 0 in
-      let rec loop () =
-        match Parallel.Wqueue.pop queue with
-        | None -> ()
-        | Some it ->
-            incr my_tasks;
-            if not (Parallel.Cancel.cancelled cancel) then begin
-              (* Solo-in-flight nesting policy: grant this region the
-                 full [-j] budget for its GEMM kernels only when it is
-                 the single outstanding work item — no queued regions,
-                 no other worker mid-region.  The check is race-free:
-                 only in-flight workers push, so with outstanding = 1
-                 (us) nobody can concurrently add work or start a
-                 region.  Any other time the budget is spent on region
-                 parallelism and kernels stay sequential, so computing
-                 domains never exceed [workers]. *)
-              let kjobs =
-                if Parallel.Wqueue.outstanding queue = 1 then workers else 1
-              in
-              match
-                process ~kjobs ~rng:it.rng ~pnode:it.pnode it.region it.depth
-              with
-              | Either.Left outcome -> settle outcome
-              | Either.Right (children, child_pnode) ->
-                  List.iter
-                    (fun (r, d, fstar) ->
-                      Parallel.Wqueue.push queue
-                        ~priority:(priority ~depth:d ~fstar)
-                        {
-                          region = r;
-                          depth = d;
-                          rng = Linalg.Rng.split it.rng;
-                          pnode = child_pnode;
-                        })
-                    children
-            end;
-            Parallel.Wqueue.finish queue;
-            loop ()
-      in
-      loop ();
-      if Telemetry.tracing () then
-        Telemetry.Trace.instant "verify.worker"
-          ~attrs:
-            [
-              ("worker", Telemetry.Jsonw.Int id);
-              ("tasks", Telemetry.Jsonw.Int !my_tasks);
-            ]
-    in
-    Parallel.Pool.run ~workers worker;
-    match Atomic.get result with
-    | Some outcome -> outcome
-    | None -> Common.Outcome.Verified
-  in
   let outcome =
     Telemetry.Span.wrap "verify.run"
       ~attrs:(fun () ->
@@ -552,7 +515,11 @@ let run ?(config = default_config) ?(budget = Common.Budget.unlimited ())
              | Depth_first -> "depth_first"
              | Best_first -> "best_first"));
         ])
-      (fun () -> if workers = 1 then sequential () else parallel ())
+      (fun () ->
+        fst
+          (search ctx ~workers ~rng
+             ~stop:(fun () -> false)
+             prop.Common.Property.region ~depth:0))
   in
   {
     outcome;
@@ -584,13 +551,13 @@ let run ?(config = default_config) ?(budget = Common.Budget.unlimited ())
    One shard of a distributed split-and-conquer run verifies a subtree
    rooted at some sub-box of the original property, entering the
    recursion at the depth that produced the sub-box so depth caps and
-   canonical-partition keys line up with a single-process run.  The
-   drain is the sequential depth-first one, with two extra stop
-   conditions checked between regions: the budget (per-shard, escalated
-   by the coordinator across re-deals) and a cooperative [yield] hook
-   (the coordinator's work-stealing request).  Stopping early is not an
-   answer — the unexplored frontier travels back to the caller so no
-   region's proof obligation is ever dropped. *)
+   canonical-partition keys line up with a single-process run.  It is
+   the search loop at one worker, with a stop hook for the budget
+   (per-shard, escalated by the coordinator across re-deals) and a
+   cooperative [yield] (the coordinator's work-stealing request).
+   Stopping early is not an answer — the unexplored frontier travels
+   back to the caller so no region's proof obligation is ever
+   dropped. *)
 
 type subtree_outcome =
   | Subtree_proved
@@ -621,53 +588,27 @@ let run_subtree ?(config = default_config)
     make_ctx ~config ~budget ~cancel ~on_progress:None ~proofcache ~policy net
       prop
   in
-  let finish subtree_outcome frontier =
-    let c = ctx.ctrs in
-    {
-      subtree_outcome;
-      frontier;
-      subtree_nodes = Atomic.get c.nodes;
-      subtree_analyze_calls = Atomic.get c.analyze_calls;
-      subtree_pgd_calls = Atomic.get c.pgd_calls;
-      subtree_transformer_calls = Atomic.get c.transformer_calls;
-      subtree_cache_lookups = Atomic.get c.cache_lookups;
-      subtree_cache_hits = Atomic.get c.cache_hits;
-      subtree_elapsed = Unix.gettimeofday () -. started;
-    }
+  let stop () =
+    yield () || Common.Budget.exhausted ctx.budget || ctx.ext_cancelled ()
   in
-  let frontier_of worklist =
-    List.map (fun (region, depth, _) -> (region, depth)) worklist
+  let outcome, unexplored =
+    search ctx ~workers:1 ~rng ~stop prop.Common.Property.region
+      ~depth:root_depth
   in
-  let rec drain = function
-    | [] -> finish Subtree_proved []
-    | ((region, depth, pnode) :: rest) as worklist ->
-        (* Stop *between* regions, never mid-region: the current item
-           has not been processed yet, so it belongs to the frontier. *)
-        if
-          yield ()
-          || Common.Budget.exhausted ctx.budget
-          || ctx.ext_cancelled ()
-        then finish Subtree_yielded (frontier_of worklist)
-        else begin
-          match process ctx ~kjobs:1 ~rng ~pnode region depth with
-          | Either.Left Common.Outcome.Timeout ->
-              (* The budget ran out (or cancellation landed) in the
-                 window between our check and the region's own: the
-                 region was counted but not decided, so it stays on the
-                 frontier. *)
-              finish Subtree_yielded (frontier_of worklist)
-          | Either.Left Common.Outcome.Unknown ->
-              finish Subtree_unknown (frontier_of rest)
-          | Either.Left (Common.Outcome.Refuted x) ->
-              finish (Subtree_refuted x) []
-          | Either.Left Common.Outcome.Verified ->
-              (* [process] never returns Verified directly (a proved
-                 region comes back as Right ([], _)); drain the rest. *)
-              drain rest
-          | Either.Right (children, child_pnode) ->
-              drain
-                (List.map (fun (r, d, _) -> (r, d, child_pnode)) children
-                @ rest)
-        end
-  in
-  drain [ (prop.Common.Property.region, root_depth, None) ]
+  let c = ctx.ctrs in
+  {
+    subtree_outcome =
+      (match outcome with
+      | Common.Outcome.Verified -> Subtree_proved
+      | Common.Outcome.Refuted x -> Subtree_refuted x
+      | Common.Outcome.Unknown -> Subtree_unknown
+      | Common.Outcome.Timeout -> Subtree_yielded);
+    frontier = List.map (fun it -> (it.region, it.depth)) unexplored;
+    subtree_nodes = Atomic.get c.nodes;
+    subtree_analyze_calls = Atomic.get c.analyze_calls;
+    subtree_pgd_calls = Atomic.get c.pgd_calls;
+    subtree_transformer_calls = Atomic.get c.transformer_calls;
+    subtree_cache_lookups = Atomic.get c.cache_lookups;
+    subtree_cache_hits = Atomic.get c.cache_hits;
+    subtree_elapsed = Unix.gettimeofday () -. started;
+  }

@@ -12,11 +12,14 @@ val log_src : Logs.Src.t
     refutations at info level. *)
 
 type strategy =
-  | Depth_first  (** Algorithm 1's recursion order (left branch first) *)
+  | Depth_first
+      (** pop the deepest pending region first, the left branch before
+          the right: Algorithm 1's recursion order *)
   | Best_first
-      (** refine the pending region whose parent PGD value was closest
-          to violating the property first; an anytime-flavoured
-          extension useful when hunting counterexamples *)
+      (** pop the pending region with the smallest parent PGD value
+          first (closest to violating the property); an
+          anytime-flavoured extension useful when hunting
+          counterexamples *)
 
 type config = {
   delta : float;
@@ -88,22 +91,23 @@ val run :
     search is bit-identical to earlier releases, PGD-guided cuts and
     all.
 
-    [workers] (default 1) drains the region worklist on that many OCaml
-    domains.  [workers = 1] is exactly the sequential Algorithm 1 path.
-    With more workers the first [Refuted]/[Timeout]/[Unknown] answer
-    cancels outstanding work — with the one exception that a
-    concurrently found [Refuted x] upgrades a just-settled
-    [Timeout]/[Unknown] (a counterexample in hand is never dropped;
-    the reverse downgrade can never happen) — while [Verified] requires
-    the shared queue to drain empty; each work item carries an RNG
-    split off its parent's, so a fixed (seed, workers) pair reproduces
-    the same search tree regardless of scheduling.  A worker that holds
-    the only outstanding region (tail of the search, or a tree that
-    never fans out) re-spends the [-j] budget on kernel parallelism
-    inside its abstract pass ({!Linalg.Mat.gemm} row panels,
-    bit-identical results); under full region parallelism kernels stay
-    sequential, so domains computing at once never exceed [workers].
-    Raises [Invalid_argument] when [workers < 1].
+    The search is one loop over a priority worklist of regions, popped
+    in [config.strategy] order and drained by [workers] (default 1)
+    OCaml domains; one worker runs the same loop inline on the calling
+    domain.  The first [Refuted]/[Timeout]/[Unknown] answer settles the
+    run and cancels outstanding work — except that a [Refuted x] found
+    while the run winds down replaces a settled [Timeout]/[Unknown]
+    ({!Common.Outcome.settle}) — while [Verified] requires the
+    worklist to drain empty.  One worker draws every region's PGD
+    samples from [rng] in pop order; with more, each work item carries
+    an RNG split off its parent's, so a fixed (seed, workers) pair
+    reproduces the same search tree regardless of scheduling.  A worker
+    that holds the only outstanding region (tail of the search, or a
+    tree that never fans out) re-spends the [-j] budget on kernel
+    parallelism inside its abstract pass ({!Linalg.Mat.gemm} row
+    panels, bit-identical results); under full region parallelism
+    kernels stay sequential, so domains computing at once never exceed
+    [workers].  Raises [Invalid_argument] when [workers < 1].
 
     [cancel] is a cooperative external stop: the token is polled once
     per region, and a run that observes it abandons the search and
@@ -136,10 +140,11 @@ type subtree_outcome =
 type subtree_report = {
   subtree_outcome : subtree_outcome;
   frontier : (Domains.Box.t * int) list;
-      (** unexplored [(region, absolute depth)] pairs, left-most first;
-          non-empty only for [Subtree_yielded].  Re-running each entry
-          (at its recorded depth) completes the original obligation —
-          nothing is dropped by stopping early. *)
+      (** unexplored [(region, absolute depth)] pairs in pop order
+          (left-most first under [Depth_first]); non-empty only for
+          [Subtree_yielded].  Re-running each entry (at its recorded
+          depth) completes the original obligation — nothing is dropped
+          by stopping early. *)
   subtree_nodes : int;
   subtree_analyze_calls : int;
   subtree_pgd_calls : int;
@@ -161,17 +166,17 @@ val run_subtree :
   Nn.Network.t ->
   Common.Property.t ->
   subtree_report
-(** Sequential depth-first verification of the subtree rooted at
-    [prop.region], entering the recursion at [root_depth] (default 0):
-    regions count against [config.max_depth] from there, and with
-    [?proofcache] the split cuts snap onto the canonical partition, so
-    a shard started at the depth that produced its sub-box explores
-    bit-identical regions (with bit-identical cache keys) to a
-    single-process run that descended to it.
+(** The {!run} search loop at one worker, with a stop hook, over the
+    subtree rooted at [prop.region], entering the recursion at
+    [root_depth] (default 0): regions count against [config.max_depth]
+    from there, and with [?proofcache] the split cuts snap onto the
+    canonical partition, so a shard started at the depth that produced
+    its sub-box explores bit-identical regions (with bit-identical cache
+    keys) to a single-process run that descended to it.
 
-    [yield] is polled once per region *before* the region is processed;
-    returning [true] stops the drain with the pending regions — the
-    polled one included — in [frontier].  [budget] exhaustion and
-    [cancel] stop the same way, so a shard interrupted for any reason
-    loses no proof obligation.  Raises [Invalid_argument] when
-    [root_depth] is negative. *)
+    The stop hook is polled once per popped region, *before* the region
+    is processed: [yield] returning [true], [budget] exhaustion or
+    [cancel] ends the loop with the pending regions — the popped one
+    first — in [frontier], so a shard interrupted for any reason loses
+    no proof obligation.  Raises [Invalid_argument] when [root_depth]
+    is negative. *)

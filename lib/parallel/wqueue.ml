@@ -14,11 +14,11 @@
    children have been pushed; forgetting it deadlocks the drain, calling
    it before pushing children can end the drain early.
 
-   Items are served lowest priority first (a min-heap, like
-   [Common.Pqueue], but guarded by a mutex/condition pair so any number
-   of domains can share one queue).  [close] ends the queue immediately:
-   every blocked and future [pop] returns [None].  Built on OCaml 5
-   stdlib primitives only. *)
+   Items are served lowest priority first (a min-heap guarded by a
+   mutex/condition pair so any number of domains can share one queue).
+   [close] ends the queue immediately: every blocked and future [pop]
+   returns [None]; [leftovers] ends it and hands back what it still held.
+   Built on OCaml 5 stdlib primitives only. *)
 
 (* [wakeup] is signalled on push/done_one/close. *)
 type 'a t = {
@@ -157,6 +157,14 @@ let close t =
   with_lock t (fun () ->
       t.closed <- true;
       Condition.broadcast t.wakeup)
+
+let leftovers t =
+  close t;
+  with_lock t (fun () ->
+      let rec take acc =
+        if t.size = 0 then List.rev acc else take (heap_pop t :: acc)
+      in
+      take [])
 
 let closed t = with_lock t (fun () -> t.closed)
 

@@ -35,6 +35,11 @@ val close : 'a t -> unit
 (** End the queue: every blocked and future [pop] returns [None]
     immediately.  Used for cancellation. *)
 
+val leftovers : 'a t -> 'a list
+(** [close] the queue and return the items still queued, lowest
+    priority first, leaving it empty.  Popped items are not included:
+    their workers own them. *)
+
 val closed : 'a t -> bool
 
 val outstanding : 'a t -> int

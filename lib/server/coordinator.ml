@@ -19,8 +19,8 @@
      longest-busy worker is asked to [steal]-yield its unexplored
      frontier; the reclaimed splits are dealt to the idle workers.
    - Refute: the first [refuted] settles the verdict and broadcasts
-     cancel — with the same one-way upgrade rule as the in-process
-     drain ([Verify.run]'s settle): a refutation arriving while a
+     cancel — under the same settle rule as the in-process search loop
+     ([Common.Outcome.settle]): a refutation arriving while a
      Timeout/Unknown verdict drains out still wins, the reverse never.
    - Survive: a worker dying (EOF / torn line / protocol violation)
      re-queues its outstanding split — nothing is lost, because a
@@ -308,23 +308,14 @@ let run ~worker_cmd ?config (spec : Protocol.job_spec) =
     w
   in
   let settle outcome =
-    match !verdict with
-    | None ->
-        verdict := Some outcome;
-        settled_at := Unix.gettimeofday ();
-        List.iter
-          (fun w -> send_safe w (D.to_worker_to_json D.Cancel_all))
-          (alive ())
-    | Some (Common.Outcome.Timeout | Common.Outcome.Unknown) -> (
-        (* Same one-way upgrade as Verify.run's settle: a counterexample
-           arriving while an exhaustion verdict drains out still wins;
-           the reverse downgrade never happens. *)
-        match outcome with
-        | Common.Outcome.Refuted _ -> verdict := Some outcome
-        | Common.Outcome.Verified | Common.Outcome.Timeout
-        | Common.Outcome.Unknown ->
-            ())
-    | Some (Common.Outcome.Verified | Common.Outcome.Refuted _) -> ()
+    let first = unsettled () in
+    verdict := Common.Outcome.settle !verdict outcome;
+    if first then begin
+      settled_at := Unix.gettimeofday ();
+      List.iter
+        (fun w -> send_safe w (D.to_worker_to_json D.Cancel_all))
+        (alive ())
+    end
   in
   let steps_for escalation =
     (* 20k * 4^12 still fits comfortably in an int; beyond that the
@@ -477,7 +468,7 @@ let run ~worker_cmd ?config (spec : Protocol.job_spec) =
                 end
             | D.Precision ->
                 (* A region no budget can decide — same verdict the
-                   sequential drain gives, same upgrade-on-refute
+                   in-process search gives, same upgrade-on-refute
                    semantics while the fleet drains out. *)
                 settle Common.Outcome.Unknown);
             after_report ())

@@ -78,20 +78,19 @@ let load_journal table path =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
-        let n = ref 0 in
         (try
            while true do
              match parse_journal_line (input_line ic) with
              | Some (key, outcome, cold_wall) ->
-                 (* Later lines win: a re-solved problem (e.g. after an
-                    eviction race duplicated an append) keeps its most
-                    recent record. *)
-                 Hashtbl.replace table key (outcome, cold_wall);
-                 incr n
+                 (* First record wins, as in [record]: a verdict is a
+                    fact, so a duplicate line (e.g. an eviction race
+                    that appended twice) never replaces it. *)
+                 if not (Hashtbl.mem table key) then
+                   Hashtbl.replace table key (outcome, cold_wall)
              | None -> ()
            done
          with End_of_file -> ());
-        !n)
+        Hashtbl.length table)
   end
   else 0
 

@@ -26,7 +26,8 @@ val close : t -> unit
 val path : t -> string
 
 val loaded : t -> int
-(** Facts replayed from the journal at {!create}. *)
+(** Distinct facts replayed from the journal at {!create}; when a key
+    appears on several lines, the first one is kept. *)
 
 type stats = { entries : int; loaded : int; appended : int; hits : int }
 

@@ -302,6 +302,11 @@ let test_verdict_store_roundtrip_skips_garbage () =
       (* A crashed writer leaves garbage and a torn tail; both must be
          skipped on replay, not poison the restart. *)
       let oc = open_out_gen [ Open_append ] 0o644 path in
+      (* A duplicate line for a present key must not replace the first
+         record on replay, nor count as a second fact. *)
+      output_string oc
+        {|{"v":1,"key":"kv","cold_wall":9.0,"verdict":{"verdict":"verified"}}|};
+      output_char oc '\n';
       output_string oc "not json at all\n";
       output_string oc "{\"v\":1,\"key\":\"torn";
       close_out oc;

@@ -238,35 +238,6 @@ let test_verify_no_cex_search_still_sound () =
   let report = run ~config ~seed:10 net prop in
   Alcotest.(check int) "no pgd calls" 0 report.Charon.Verify.pgd_calls
 
-let test_verify_best_first_agrees () =
-  (* The refinement strategy must not change verdicts, only order. *)
-  let config =
-    { Charon.Verify.default_config with
-      Charon.Verify.strategy = Charon.Verify.Best_first }
-  in
-  Util.repeat ~seed:147 ~count:15 (fun rng i ->
-      let net = Util.small_net rng in
-      let box = Util.small_box rng net.Nn.Network.input_dim in
-      let k = Rng.int rng net.Nn.Network.output_dim in
-      let prop = Common.Property.create ~region:box ~target:k () in
-      let budget () = Common.Budget.of_steps 20_000 in
-      let dfs = (run ~seed:i ~budget:(budget ()) net prop).Charon.Verify.outcome in
-      let bfs =
-        (run ~config ~seed:i ~budget:(budget ()) net prop).Charon.Verify.outcome
-      in
-      Util.check_true
-        (Printf.sprintf "strategies agree (%s vs %s)" (Common.Outcome.label dfs)
-           (Common.Outcome.label bfs))
-        (Common.Outcome.agrees dfs bfs);
-      (* Best-first refutations are still delta-counterexamples. *)
-      match bfs with
-      | Common.Outcome.Refuted x ->
-          Util.check_true "delta cex"
-            (Optim.Objective.is_delta_counterexample
-               (Optim.Objective.create net ~k)
-               ~delta:1e-4 x)
-      | _ -> ())
-
 let test_verify_rejects_nonpositive_delta () =
   let net = Nn.Init.xor () in
   let prop = Common.Property.create ~region:(unit_box 2) ~target:1 () in
@@ -296,7 +267,18 @@ let test_verify_depth_cap_answers_unknown () =
       Alcotest.failf "expected unknown at the depth cap, got %s"
         (Common.Outcome.label o));
   (* The generous default budget rules out a genuine timeout. *)
-  Util.check_true "budget not exhausted" (report.Charon.Verify.nodes < 100)
+  Util.check_true "budget not exhausted" (report.Charon.Verify.nodes < 100);
+  (* A shard hits the same cap, and an Unknown hands back no frontier:
+     no budget can decide the rest, so there is nothing to re-deal. *)
+  let r =
+    Charon.Verify.run_subtree ~config ~rng:(Rng.create 5)
+      ~policy:default_policy net prop
+  in
+  (match r.Charon.Verify.subtree_outcome with
+  | Charon.Verify.Subtree_unknown -> ()
+  | _ -> Alcotest.fail "expected Subtree_unknown at the depth cap");
+  Alcotest.(check int) "no frontier with Unknown" 0
+    (List.length r.Charon.Verify.frontier)
 
 let test_verify_settle_keeps_refutation () =
   (* Regression for the parallel settle race: a worker that exhausts
@@ -349,6 +331,186 @@ let test_verify_report_counters () =
   Util.check_true "domains recorded" (report.Charon.Verify.domains_used <> []);
   Util.check_true "transformer calls counted"
     (report.Charon.Verify.transformer_calls >= Nn.Network.num_layers net)
+
+(* ------------------------------------------------------------------ *)
+(* Pinned one-worker search trees.
+
+   A one-worker run must explore exactly these trees.  The policy that
+   Bayesian optimisation learns is a function of their step counts
+   (perfbench/inputs.md5 records its digest), so a change to the order
+   regions are popped in, or to the RNG stream they draw from, shows up
+   here first.  Seeds are fixed, not CHARON_TEST_SEED-overridable: the
+   table holds numbers, not a property. *)
+
+let golden_problems () =
+  let rng = Rng.create 2019 in
+  let random = List.init 20 (fun _ -> Util.boundary_problem (Rng.split rng)) in
+  let xor = Nn.Init.xor () in
+  let region = Box.create ~lo:[| 0.3; 0.3 |] ~hi:[| 0.7; 0.7 |] in
+  random
+  @ [
+      (xor, Common.Property.create ~region ~target:1 ());
+      (xor, Common.Property.create ~region ~target:0 ());
+    ]
+
+let golden_run_row ~tag ~strategy ?(steps = 20_000)
+    ?(max_depth = Charon.Verify.default_config.Charon.Verify.max_depth) ~seed
+    net prop =
+  let config =
+    { Charon.Verify.default_config with Charon.Verify.strategy; max_depth }
+  in
+  let depths = Buffer.create 256 in
+  let on_progress ~nodes:_ ~depth = Printf.bprintf depths "%d," depth in
+  let r =
+    Charon.Verify.run ~config ~budget:(Common.Budget.of_steps steps)
+      ~on_progress ~rng:(Rng.create seed) ~policy:default_policy net prop
+  in
+  Printf.sprintf "%s %s nodes=%d analyze=%d pgd=%d transformer=%d depth=%d %s"
+    tag
+    (Common.Outcome.label r.Charon.Verify.outcome)
+    r.Charon.Verify.nodes r.Charon.Verify.analyze_calls
+    r.Charon.Verify.pgd_calls r.Charon.Verify.transformer_calls
+    r.Charon.Verify.peak_depth
+    (Digest.to_hex (Digest.string (Buffer.contents depths)))
+
+(* [run_subtree] asked to yield once [k] regions are done. *)
+let golden_subtree_row ~tag ~k ?(steps = 20_000) ~seed net prop =
+  let polls = ref 0 in
+  let yield () =
+    incr polls;
+    !polls > k
+  in
+  let r =
+    Charon.Verify.run_subtree ~budget:(Common.Budget.of_steps steps) ~yield
+      ~rng:(Rng.create seed) ~policy:default_policy net prop
+  in
+  let keys = Buffer.create 256 in
+  List.iter
+    (fun (box, depth) ->
+      Printf.bprintf keys "%d:%s;" depth (Partition.key_of_box box))
+    r.Charon.Verify.frontier;
+  Printf.sprintf "%s %s nodes=%d frontier=[%s] %s" tag
+    (match r.Charon.Verify.subtree_outcome with
+    | Charon.Verify.Subtree_proved -> "proved"
+    | Charon.Verify.Subtree_refuted _ -> "refuted"
+    | Charon.Verify.Subtree_unknown -> "unknown"
+    | Charon.Verify.Subtree_yielded -> "yielded")
+    r.Charon.Verify.subtree_nodes
+    (String.concat ";"
+       (List.map (fun (_, d) -> string_of_int d) r.Charon.Verify.frontier))
+    (Digest.to_hex (Digest.string (Buffer.contents keys)))
+
+let golden_rows () =
+  let problems = golden_problems () in
+  let rows =
+    List.concat
+      (List.mapi
+         (fun i (net, prop) ->
+           let seed = 300 + i in
+           [
+             golden_run_row ~tag:(Printf.sprintf "dfs/%d" i)
+               ~strategy:Charon.Verify.Depth_first ~seed net prop;
+             golden_run_row ~tag:(Printf.sprintf "bfs/%d" i)
+               ~strategy:Charon.Verify.Best_first ~seed net prop;
+             golden_subtree_row ~tag:(Printf.sprintf "subtree/%d" i) ~k:3
+               ~seed net prop;
+           ])
+         problems)
+  in
+  (* The deepest tree again, cut short by each limit in turn. *)
+  let net, prop = List.hd problems in
+  let seed = 300 in
+  rows
+  @ [
+      golden_run_row ~tag:"dfs-steps/0" ~strategy:Charon.Verify.Depth_first
+        ~steps:300 ~seed net prop;
+      golden_run_row ~tag:"bfs-steps/0" ~strategy:Charon.Verify.Best_first
+        ~steps:300 ~seed net prop;
+      golden_run_row ~tag:"dfs-depth/0" ~strategy:Charon.Verify.Depth_first
+        ~max_depth:4 ~seed net prop;
+      golden_subtree_row ~tag:"subtree-k20/0" ~k:20 ~seed net prop;
+      golden_subtree_row ~tag:"subtree-steps/0" ~k:max_int ~steps:300 ~seed
+        net prop;
+    ]
+
+let golden_expected =
+  [
+    "dfs/0 verified nodes=271 analyze=271 pgd=271 transformer=1355 depth=15 24d8bc46c6c9dd771ba9015e39541379";
+    "bfs/0 verified nodes=273 analyze=273 pgd=273 transformer=1365 depth=16 26c9060ab9eea4eefe58566d2742dae8";
+    "subtree/0 yielded nodes=3 frontier=[3;3;2;1] 3d52e3e68e6786eb8c56bd3983540bad";
+    "dfs/1 verified nodes=1 analyze=1 pgd=1 transformer=5 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "bfs/1 verified nodes=1 analyze=1 pgd=1 transformer=5 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "subtree/1 proved nodes=1 frontier=[] d41d8cd98f00b204e9800998ecf8427e";
+    "dfs/2 verified nodes=1 analyze=1 pgd=1 transformer=3 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "bfs/2 verified nodes=1 analyze=1 pgd=1 transformer=3 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "subtree/2 proved nodes=1 frontier=[] d41d8cd98f00b204e9800998ecf8427e";
+    "dfs/3 falsified nodes=1 analyze=0 pgd=1 transformer=0 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "bfs/3 falsified nodes=1 analyze=0 pgd=1 transformer=0 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "subtree/3 refuted nodes=1 frontier=[] d41d8cd98f00b204e9800998ecf8427e";
+    "dfs/4 verified nodes=1 analyze=1 pgd=1 transformer=5 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "bfs/4 verified nodes=1 analyze=1 pgd=1 transformer=5 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "subtree/4 proved nodes=1 frontier=[] d41d8cd98f00b204e9800998ecf8427e";
+    "dfs/5 falsified nodes=3 analyze=2 pgd=3 transformer=6 depth=1 d996d6b0f585d1b178edef0b8c3c9472";
+    "bfs/5 falsified nodes=3 analyze=2 pgd=3 transformer=6 depth=1 d996d6b0f585d1b178edef0b8c3c9472";
+    "subtree/5 refuted nodes=3 frontier=[] d41d8cd98f00b204e9800998ecf8427e";
+    "dfs/6 falsified nodes=1 analyze=0 pgd=1 transformer=0 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "bfs/6 falsified nodes=1 analyze=0 pgd=1 transformer=0 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "subtree/6 refuted nodes=1 frontier=[] d41d8cd98f00b204e9800998ecf8427e";
+    "dfs/7 falsified nodes=1 analyze=0 pgd=1 transformer=0 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "bfs/7 falsified nodes=1 analyze=0 pgd=1 transformer=0 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "subtree/7 refuted nodes=1 frontier=[] d41d8cd98f00b204e9800998ecf8427e";
+    "dfs/8 verified nodes=7 analyze=7 pgd=7 transformer=21 depth=3 fb597bf470da22278f7bb13ae8bdfb95";
+    "bfs/8 verified nodes=7 analyze=7 pgd=7 transformer=21 depth=3 fb597bf470da22278f7bb13ae8bdfb95";
+    "subtree/8 yielded nodes=3 frontier=[2;2] c6f944e4446159dd02a4fc6cbd963e6c";
+    "dfs/9 verified nodes=1 analyze=1 pgd=1 transformer=5 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "bfs/9 verified nodes=1 analyze=1 pgd=1 transformer=5 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "subtree/9 proved nodes=1 frontier=[] d41d8cd98f00b204e9800998ecf8427e";
+    "dfs/10 verified nodes=1 analyze=1 pgd=1 transformer=3 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "bfs/10 verified nodes=1 analyze=1 pgd=1 transformer=3 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "subtree/10 proved nodes=1 frontier=[] d41d8cd98f00b204e9800998ecf8427e";
+    "dfs/11 verified nodes=1 analyze=1 pgd=1 transformer=5 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "bfs/11 verified nodes=1 analyze=1 pgd=1 transformer=5 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "subtree/11 proved nodes=1 frontier=[] d41d8cd98f00b204e9800998ecf8427e";
+    "dfs/12 verified nodes=27 analyze=27 pgd=27 transformer=81 depth=8 d2804b0fdb40fe8848ba8bda293748b1";
+    "bfs/12 verified nodes=27 analyze=27 pgd=27 transformer=81 depth=8 872dc97fc6be2cf7e0e25cb2245870bf";
+    "subtree/12 yielded nodes=3 frontier=[3;3;2;1] c6f67b0395cd8ebd6dd1c9d4bbc5b7ce";
+    "dfs/13 falsified nodes=1 analyze=0 pgd=1 transformer=0 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "bfs/13 falsified nodes=1 analyze=0 pgd=1 transformer=0 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "subtree/13 refuted nodes=1 frontier=[] d41d8cd98f00b204e9800998ecf8427e";
+    "dfs/14 falsified nodes=30 analyze=29 pgd=30 transformer=145 depth=10 ba812827707d3c37e4be0cbeb84bc505";
+    "bfs/14 falsified nodes=14 analyze=13 pgd=14 transformer=65 depth=8 51038ed20bd94751de42c59b1a2919e2";
+    "subtree/14 yielded nodes=3 frontier=[2;1] 7c2fc4f9b2051f7ea06a75ce7c94d8f5";
+    "dfs/15 verified nodes=29 analyze=29 pgd=29 transformer=87 depth=7 9adbd58318982b695f375bbde4b49515";
+    "bfs/15 verified nodes=29 analyze=29 pgd=29 transformer=87 depth=7 45cfacc2319ee70126cf8e31fe47ae2b";
+    "subtree/15 yielded nodes=3 frontier=[2;1] 0f8ffbb2635bf55facba78015151bc1d";
+    "dfs/16 verified nodes=1 analyze=1 pgd=1 transformer=5 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "bfs/16 verified nodes=1 analyze=1 pgd=1 transformer=5 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "subtree/16 proved nodes=1 frontier=[] d41d8cd98f00b204e9800998ecf8427e";
+    "dfs/17 verified nodes=1 analyze=1 pgd=1 transformer=3 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "bfs/17 verified nodes=1 analyze=1 pgd=1 transformer=3 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "subtree/17 proved nodes=1 frontier=[] d41d8cd98f00b204e9800998ecf8427e";
+    "dfs/18 verified nodes=1 analyze=1 pgd=1 transformer=5 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "bfs/18 verified nodes=1 analyze=1 pgd=1 transformer=5 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "subtree/18 proved nodes=1 frontier=[] d41d8cd98f00b204e9800998ecf8427e";
+    "dfs/19 falsified nodes=1 analyze=0 pgd=1 transformer=0 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "bfs/19 falsified nodes=1 analyze=0 pgd=1 transformer=0 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "subtree/19 refuted nodes=1 frontier=[] d41d8cd98f00b204e9800998ecf8427e";
+    "dfs/20 verified nodes=1 analyze=1 pgd=1 transformer=3 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "bfs/20 verified nodes=1 analyze=1 pgd=1 transformer=3 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "subtree/20 proved nodes=1 frontier=[] d41d8cd98f00b204e9800998ecf8427e";
+    "dfs/21 falsified nodes=1 analyze=0 pgd=1 transformer=0 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "bfs/21 falsified nodes=1 analyze=0 pgd=1 transformer=0 depth=0 36b8e1133a9d046fbd840f67896716b7";
+    "subtree/21 refuted nodes=1 frontier=[] d41d8cd98f00b204e9800998ecf8427e";
+    "dfs-steps/0 timeout nodes=61 analyze=60 pgd=60 transformer=300 depth=12 048d594f3ee35abac5d479e826a63bfd";
+    "bfs-steps/0 timeout nodes=61 analyze=60 pgd=60 transformer=300 depth=15 376d4d6b952cb745462cda09d23c2b3b";
+    "dfs-depth/0 unknown nodes=11 analyze=10 pgd=10 transformer=50 depth=5 5262ea0f54064cb517291bb5ca29cd06";
+    "subtree-k20/0 yielded nodes=20 frontier=[8;7;6;5;4;3;1] 813484fd00d5dfd2362feae5fd70507c";
+    "subtree-steps/0 yielded nodes=60 frontier=[6;6;4;3;1] 1be7f109054be841bc5650363e4dbfe6";
+  ]
+
+let test_verify_golden_trees () =
+  Alcotest.(check (list string)) "one-worker trees" golden_expected
+    (golden_rows ())
 
 (* ------------------------------------------------------------------ *)
 (* Learn *)
@@ -433,13 +595,14 @@ let () =
           Util.case "terminates on tiny regions" test_verify_terminates_with_budget;
           Util.case "respects step budget" test_verify_respects_step_budget;
           Util.case "sound without cex search" test_verify_no_cex_search_still_sound;
-          Util.case "best-first agrees with depth-first" test_verify_best_first_agrees;
           Util.case "rejects nonpositive delta" test_verify_rejects_nonpositive_delta;
           Util.case "depth cap answers unknown" test_verify_depth_cap_answers_unknown;
           Util.case "parallel settle keeps refutations"
             test_verify_settle_keeps_refutation;
           Util.case "report counters" test_verify_report_counters;
         ] );
+      ( "verify-golden",
+        [ Util.case "one-worker search trees" test_verify_golden_trees ] );
       ( "learn",
         [
           Util.case "returns linear policy" test_learn_returns_linear_policy;

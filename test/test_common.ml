@@ -71,6 +71,47 @@ let test_outcome_agreement () =
     (Common.Outcome.agrees refuted refuted
     && Common.Outcome.agrees Common.Outcome.Verified Common.Outcome.Verified)
 
+let test_outcome_settle_table () =
+  (* Every (settled, incoming) pair: the first outcome settles, a
+     Refuted replaces a settled Timeout or Unknown, and nothing else
+     replaces a settled outcome — in particular a second refutation
+     never swaps the witness already in hand. *)
+  let open Common.Outcome in
+  let x = [| 1.0 |] and y = [| 2.0 |] in
+  let show = function
+    | None -> "none"
+    | Some (Refuted w) -> Printf.sprintf "falsified %g" w.(0)
+    | Some o -> label o
+  in
+  List.iter
+    (fun (settled, incoming, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s then %s" (show settled) (show (Some incoming)))
+        expected
+        (show (settle settled incoming)))
+    [
+      (None, Verified, "verified");
+      (None, Refuted y, "falsified 2");
+      (None, Timeout, "timeout");
+      (None, Unknown, "unknown");
+      (Some Verified, Verified, "verified");
+      (Some Verified, Refuted y, "verified");
+      (Some Verified, Timeout, "verified");
+      (Some Verified, Unknown, "verified");
+      (Some (Refuted x), Verified, "falsified 1");
+      (Some (Refuted x), Refuted y, "falsified 1");
+      (Some (Refuted x), Timeout, "falsified 1");
+      (Some (Refuted x), Unknown, "falsified 1");
+      (Some Timeout, Verified, "timeout");
+      (Some Timeout, Refuted y, "falsified 2");
+      (Some Timeout, Timeout, "timeout");
+      (Some Timeout, Unknown, "timeout");
+      (Some Unknown, Verified, "unknown");
+      (Some Unknown, Refuted y, "falsified 2");
+      (Some Unknown, Timeout, "unknown");
+      (Some Unknown, Unknown, "unknown");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Property *)
 
@@ -155,18 +196,19 @@ let test_regionspec_roundtrip () =
       Util.check_true "roundtrip" (Box.equal b b'))
 
 (* ------------------------------------------------------------------ *)
-(* Pqueue *)
+(* The search loop's heap ([Parallel.Wqueue]), driven as one worker
+   drives it: push, then pop and finish *)
 
-let test_pqueue_orders () =
-  let q = Common.Pqueue.create () in
+let test_wqueue_orders () =
+  let q = Parallel.Wqueue.create () in
   List.iter
-    (fun (p, v) -> Common.Pqueue.push q ~priority:p v)
+    (fun (p, v) -> Parallel.Wqueue.push q ~priority:p v)
     [ (3.0, "c"); (1.0, "a"); (2.0, "b"); (0.5, "z") ];
-  Alcotest.(check int) "size" 4 (Common.Pqueue.size q);
+  Alcotest.(check int) "size" 4 (Parallel.Wqueue.size q);
   let order = ref [] in
   let rec drain () =
-    match Common.Pqueue.pop q with
-    | Some (_, v) ->
+    match Util.pop_finish q with
+    | Some v ->
         order := v :: !order;
         drain ()
     | None -> ()
@@ -174,37 +216,26 @@ let test_pqueue_orders () =
   drain ();
   Alcotest.(check (list string)) "min-first" [ "z"; "a"; "b"; "c" ]
     (List.rev !order);
-  Util.check_true "empty after drain" (Common.Pqueue.is_empty q)
+  Alcotest.(check int) "empty after drain" 0 (Parallel.Wqueue.size q)
 
-let test_pqueue_random_is_sorted () =
+let test_wqueue_random_is_sorted () =
   Util.repeat ~seed:201 (fun rng _ ->
-      let q = Common.Pqueue.create () in
+      let q = Parallel.Wqueue.create () in
       let n = 1 + Rng.int rng 50 in
-      for i = 1 to n do
-        Common.Pqueue.push q ~priority:(Rng.gaussian rng) i
+      for _ = 1 to n do
+        let p = Rng.gaussian rng in
+        Parallel.Wqueue.push q ~priority:p p
       done;
       let prev = ref neg_infinity in
       let rec drain () =
-        match Common.Pqueue.pop q with
-        | Some (p, _) ->
+        match Util.pop_finish q with
+        | Some p ->
             Util.check_true "non-decreasing priorities" (p >= !prev);
             prev := p;
             drain ()
         | None -> ()
       in
       drain ())
-
-let test_pqueue_peek () =
-  let q = Common.Pqueue.create () in
-  Util.check_true "empty peek" (Common.Pqueue.peek q = None);
-  Common.Pqueue.push q ~priority:5.0 "x";
-  Common.Pqueue.push q ~priority:1.0 "y";
-  (match Common.Pqueue.peek q with
-  | Some (p, v) ->
-      Util.check_close ~eps:0.0 "min priority" 1.0 p;
-      Alcotest.(check string) "min value" "y" v
-  | None -> Alcotest.fail "expected element");
-  Alcotest.(check int) "peek does not remove" 2 (Common.Pqueue.size q)
 
 (* ------------------------------------------------------------------ *)
 (* Propfile *)
@@ -302,6 +333,7 @@ let () =
           Util.case "labels" test_outcome_labels;
           Util.case "solved classification" test_outcome_solved;
           Util.case "agreement" test_outcome_agreement;
+          Util.case "settle table" test_outcome_settle_table;
         ] );
       ( "property",
         [
@@ -323,10 +355,9 @@ let () =
           Util.case "roundtrip" test_propfile_roundtrip;
           Util.case "errors" test_propfile_errors;
         ] );
-      ( "pqueue",
+      ( "wqueue-heap",
         [
-          Util.case "orders elements" test_pqueue_orders;
-          Util.case "random priorities sorted" test_pqueue_random_is_sorted;
-          Util.case "peek" test_pqueue_peek;
+          Util.case "orders elements" test_wqueue_orders;
+          Util.case "random priorities sorted" test_wqueue_random_is_sorted;
         ] );
     ]

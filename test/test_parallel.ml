@@ -88,6 +88,19 @@ let test_wqueue_blocking_handoff () =
   | _ -> Alcotest.fail "blocked consumer did not receive the pushed item");
   Util.check_true "drained" (Parallel.Wqueue.pop q = None)
 
+let test_wqueue_leftovers () =
+  let q = Parallel.Wqueue.create () in
+  List.iter (fun p -> Parallel.Wqueue.push q ~priority:p p) [ 3.0; 1.0; 2.0; 0.5 ];
+  (match Parallel.Wqueue.pop q with
+  | Some p -> Util.check_close ~eps:0.0 "minimum popped" 0.5 p
+  | None -> Alcotest.fail "queue drained early");
+  (* The popped item is in flight, so only the queued ones come back. *)
+  Alcotest.(check (list (float 0.0)))
+    "queued items, min first" [ 1.0; 2.0; 3.0 ]
+    (Parallel.Wqueue.leftovers q);
+  Util.check_true "closed" (Parallel.Wqueue.closed q);
+  Util.check_true "nothing left to pop" (Parallel.Wqueue.pop q = None)
+
 (* ------------------------------------------------------------------ *)
 (* Cancel *)
 
@@ -241,36 +254,105 @@ let test_workers_agree_acas () =
         (Common.Outcome.is_solved o))
     problems
 
-let test_workers_agree_random_problems () =
-  (* Multi-node searches: random problems whose trees genuinely split,
-     compared under Outcome.agrees (a timeout is consistent with
-     anything — the step budget is shared, so the exhaustion point moves
-     with scheduling, but Verified/Refuted may never conflict). *)
-  Util.repeat ~seed:142 ~count:15 (fun rng i ->
-      let net = Util.small_net rng in
-      let box = Util.small_box rng net.Nn.Network.input_dim in
-      let k = Rng.int rng net.Nn.Network.output_dim in
-      let prop = Common.Property.create ~region:box ~target:k () in
-      let budget () = Common.Budget.of_steps 20_000 in
-      let seq = outcome ~budget:(budget ()) ~workers:1 ~seed:i net prop in
-      let par =
-        outcome ~budget:(budget ()) ~workers:workers_under_test ~seed:i net
-          prop
-      in
-      Util.check_true
-        (Printf.sprintf "random-%d agrees (%s vs %s)" i
-           (Common.Outcome.label seq) (Common.Outcome.label par))
-        (Common.Outcome.agrees seq par);
-      match par with
-      | Common.Outcome.Refuted x ->
-          Util.check_true
-            (Printf.sprintf "random-%d witness violates" i)
-            (not (Common.Property.holds_at net prop x))
-      | _ -> ())
+(* [run_subtree] asked to yield every four regions and resumed from its
+   frontier until the obligation is discharged, as a dverify
+   coordinator re-deals a shard's frontier. *)
+let resumed_subtree ~seed net (prop : Common.Property.t) =
+  let budget = Common.Budget.of_steps 20_000 in
+  let rec go = function
+    | [] -> Common.Outcome.Verified
+    | _ :: _ when Common.Budget.exhausted budget -> Common.Outcome.Timeout
+    | (region, depth) :: rest -> (
+        let polls = ref 0 in
+        let yield () =
+          incr polls;
+          !polls > 4
+        in
+        let r =
+          Charon.Verify.run_subtree ~budget ~yield ~root_depth:depth
+            ~rng:(Rng.create seed) ~policy:Charon.Policy.default net
+            (Common.Property.create ~region
+               ~target:prop.Common.Property.target ())
+        in
+        match r.Charon.Verify.subtree_outcome with
+        | Charon.Verify.Subtree_proved -> go rest
+        | Charon.Verify.Subtree_refuted x -> Common.Outcome.Refuted x
+        | Charon.Verify.Subtree_unknown -> Common.Outcome.Unknown
+        | Charon.Verify.Subtree_yielded -> go (r.Charon.Verify.frontier @ rest))
+  in
+  go [ (prop.Common.Property.region, 0) ]
 
-(* The [n]-th problem of a [Util.repeat]-style seeded stream.  Splits
-   are independent, so skipping the first [n - 1] without materializing
-   them reproduces exactly the problem the agreement sweep above sees. *)
+let test_paths_agree_random_problems () =
+  (* Every path through the search loop on random problems just inside
+     the decision boundary (by default the golden table's problems in
+     test_charon.ml, several of whose trees split deeply): [run] at one
+     and several workers under both strategies, [run_subtree] resumed
+     from its frontier until done, and [run] with a proof cache cold
+     then warm.  Paths are compared pairwise under Outcome.agrees (a
+     timeout is consistent with anything — the step budget is shared,
+     so the exhaustion point moves with scheduling — but
+     Verified/Refuted may never conflict), and every refutation must be
+     a δ-counterexample inside the box. *)
+  Util.repeat ~seed:2019 ~count:20 (fun rng i ->
+      let net, prop = Util.boundary_problem rng in
+      let box = prop.Common.Property.region in
+      let k = prop.Common.Property.target in
+      let run ?proofcache ~strategy ~workers () =
+        let config =
+          { Charon.Verify.default_config with Charon.Verify.strategy }
+        in
+        (Charon.Verify.run ~config ~budget:(Common.Budget.of_steps 20_000)
+           ~workers ?proofcache ~rng:(Rng.create i)
+           ~policy:Charon.Policy.default net prop)
+          .Charon.Verify.outcome
+      in
+      let cache = Charon.Proofcache.create () in
+      let paths =
+        List.concat_map
+          (fun (name, strategy) ->
+            List.map
+              (fun workers ->
+                (Printf.sprintf "%s@%d" name workers, run ~strategy ~workers ()))
+              (List.sort_uniq compare [ 1; 2; workers_under_test ]))
+          [ ("dfs", Charon.Verify.Depth_first); ("bfs", Charon.Verify.Best_first) ]
+        @ [
+            ("subtree", resumed_subtree ~seed:i net prop);
+            ( "cache-cold",
+              run ~proofcache:cache ~strategy:Charon.Verify.Depth_first
+                ~workers:1 () );
+            ( "cache-warm",
+              run ~proofcache:cache ~strategy:Charon.Verify.Depth_first
+                ~workers:workers_under_test () );
+          ]
+      in
+      List.iter
+        (fun (a, oa) ->
+          List.iter
+            (fun (b, ob) ->
+              Util.check_true
+                (Printf.sprintf "random-%d: %s (%s) agrees with %s (%s)" i a
+                   (Common.Outcome.label oa) b (Common.Outcome.label ob))
+                (Common.Outcome.agrees oa ob))
+            paths)
+        paths;
+      List.iter
+        (fun (name, o) ->
+          match o with
+          | Common.Outcome.Refuted x ->
+              Util.check_true
+                (Printf.sprintf "random-%d: %s witness is a delta-cex in the box"
+                   i name)
+                (Domains.Box.contains box x
+                && Optim.Objective.is_delta_counterexample
+                     (Optim.Objective.create net ~k)
+                     ~delta:Charon.Verify.default_config.Charon.Verify.delta x)
+          | _ -> ())
+        paths)
+
+(* The [n]-th random small problem of a [Util.repeat]-style seeded
+   stream.  Splits are independent, so skipping the first [n - 1]
+   without materializing them reproduces exactly the problem a
+   [Util.repeat] sweep would see. *)
 let nth_small_problem ~seed n =
   let rng = Rng.create seed in
   let pick = ref None in
@@ -417,6 +499,7 @@ let () =
           Util.case "close cancels" test_wqueue_close_cancels;
           Util.case "finish overcall raises" test_wqueue_finish_overcall_raises;
           Util.case "blocking handoff" test_wqueue_blocking_handoff;
+          Util.case "leftovers" test_wqueue_leftovers;
         ];
       Util.suite "cancel" [ Util.case "token" test_cancel_token ];
       Util.suite "pool"
@@ -439,8 +522,8 @@ let () =
         [
           Util.case "workers agree on xor" test_workers_agree_xor;
           Util.slow_case "workers agree on acas" test_workers_agree_acas;
-          Util.slow_case "workers agree on random problems"
-            test_workers_agree_random_problems;
+          Util.slow_case "paths agree on random problems"
+            test_paths_agree_random_problems;
           Util.case "starved budget times out" test_parallel_timeout_terminates;
           Util.case "workers validated" test_workers_validated;
           Util.case "kernel nesting respects domain budget"

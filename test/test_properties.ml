@@ -163,51 +163,46 @@ let prop_symbolic_at_least_interval_linear =
       ms >= mi -. 1e-6)
 
 (* ------------------------------------------------------------------ *)
-(* Pqueue: heap behaviour against a sorted-list model under random
-   push/pop interleavings (it backs the contended parallel worklist) *)
+(* Wqueue: heap behaviour against a sorted-list model under random
+   push/pop interleavings, driven as one worker drives the search loop
+   (push, then pop and finish) *)
 
-let pqueue_ops_gen =
+let wqueue_ops_gen =
   Gen.(list_size (1 -- 80) (pair bool (float_range (-100.0) 100.0)))
 
-let prop_pqueue_matches_model =
-  qtest "pqueue matches sorted-list model" ~count:200 pqueue_ops_gen
+let prop_wqueue_matches_model =
+  qtest "wqueue matches sorted-list model" ~count:200 wqueue_ops_gen
     (fun ops ->
-      let q = Common.Pqueue.create () in
-      (* The model is the sorted multiset of pending priorities. *)
+      let q = Parallel.Wqueue.create () in
+      (* The model is the sorted multiset of pending priorities; each
+         item is its own priority. *)
       let model = ref [] in
       let ok = ref true in
-      let check_peek () =
-        match (Common.Pqueue.peek q, !model) with
-        | None, [] -> ()
-        | Some (p, ()), m :: _ -> if p <> m then ok := false
-        | Some _, [] | None, _ :: _ -> ok := false
-      in
       List.iter
         (fun (is_pop, priority) ->
           if is_pop then (
-            match (Common.Pqueue.pop q, !model) with
+            match (Util.pop_finish q, !model) with
             | None, [] -> ()
-            | Some (p, ()), m :: rest ->
+            | Some p, m :: rest ->
                 if p <> m then ok := false;
                 model := rest
             | Some _, [] | None, _ :: _ -> ok := false)
           else begin
-            Common.Pqueue.push q ~priority ();
+            Parallel.Wqueue.push q ~priority priority;
             model := List.merge compare [ priority ] !model
           end;
-          check_peek ();
-          if Common.Pqueue.size q <> List.length !model then ok := false)
+          if Parallel.Wqueue.size q <> List.length !model then ok := false)
         ops;
       (* Drain what is left: pops must come out exactly as the sorted
          model (min-first ordering = the heap property, observed through
          the API). *)
       List.iter
         (fun m ->
-          match Common.Pqueue.pop q with
-          | Some (p, ()) -> if p <> m then ok := false
+          match Util.pop_finish q with
+          | Some p -> if p <> m then ok := false
           | None -> ok := false)
         !model;
-      !ok && Common.Pqueue.is_empty q)
+      !ok && Util.pop_finish q = None)
 
 (* ------------------------------------------------------------------ *)
 (* Zonotope meet_halfspace soundness *)
@@ -450,7 +445,7 @@ let () =
           prop_box_hull_contains;
           prop_box_split_diameters;
         ] );
-      ("pqueue", [ prop_pqueue_matches_model ]);
+      ("wqueue", [ prop_wqueue_matches_model ]);
       ( "domain-soundness",
         [
           prop_interval_sound;

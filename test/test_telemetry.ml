@@ -288,7 +288,16 @@ let test_traced_verify_emits_expected_spans () =
       in
       Util.check_true "known outcome label"
         (List.mem outcome
-           [ "proved"; "refuted"; "split"; "unsplittable"; "timeout"; "unknown" ]))
+           [
+             "proved";
+             "refuted";
+             "split";
+             "unsplittable";
+             "depth_limit";
+             "cached";
+             "timeout";
+             "unknown";
+           ]))
     (span_events ~name:"verify.region" events)
 
 let () =

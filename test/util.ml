@@ -38,6 +38,39 @@ let small_box rng dim =
   let hi = Vec.init dim (fun i -> center.(i) +. (0.01 +. Rng.float rng 0.5)) in
   Domains.Box.create ~lo ~hi
 
+(* A random small network and a robustness property just inside its
+   decision boundary: the radius is bisected towards the largest one at
+   which sampling finds no violation, then shrunk by a random factor, so
+   PGD rarely refutes the root and the search has to split. *)
+let boundary_problem rng =
+  let net = small_net rng in
+  let dim = net.Nn.Network.input_dim in
+  let center = Vec.init dim (fun _ -> Rng.uniform rng ~lo:(-1.0) ~hi:1.0) in
+  let target = Nn.Network.classify net center in
+  let prop radius =
+    Common.Property.create
+      ~region:(Domains.Box.of_center_radius center radius)
+      ~target ()
+  in
+  let violated radius =
+    Common.Property.check_samples rng net (prop radius) ~n:200 <> None
+  in
+  let rec bisect lo hi n =
+    if n = 0 then lo
+    else
+      let mid = 0.5 *. (lo +. hi) in
+      if violated mid then bisect lo mid (n - 1) else bisect mid hi (n - 1)
+  in
+  let boundary = if violated 1.0 then bisect 0.0 1.0 8 else 1.0 in
+  (net, prop (boundary *. (0.6 +. Rng.float rng 0.35)))
+
+(* Pop one item off a work queue and mark it finished, as a lone worker
+   with no children to push does. *)
+let pop_finish q =
+  let v = Parallel.Wqueue.pop q in
+  if Option.is_some v then Parallel.Wqueue.finish q;
+  v
+
 (* Deterministic, reproducible randomness for every test suite
    (docs/testing.md).  Each call site passes its own default seed, but
    CHARON_TEST_SEED overrides all of them at once — so a failure seen
