@@ -9,8 +9,15 @@
      netgen   train a benchmark network and save it to disk
      suite    run the benchmark suite and print per-benchmark outcomes
      export   write the benchmark suite to disk as networks + property files
-     serve    run the charon-serve verification daemon (docs/serving.md)
+     serve    run the verification daemon (docs/serving.md)
      submit   send one verification job to a running daemon
+     status   poll one job's state and events
+     cancel   cancel a queued or running job
+     stats    queue, tenant and cache statistics of a running daemon
+     ping     check that a running daemon answers
+     shutdown stop a running daemon
+     dverify  verify one property across worker processes
+     worker   the dverify worker process (spawned by dverify)
      demo     the XOR walkthrough of Example 3.1 *)
 
 open Cmdliner
@@ -490,7 +497,7 @@ let attack_cmd =
     term
 
 (* ------------------------------------------------------------------ *)
-(* serve / submit                                                     *)
+(* serve and its client subcommands                                   *)
 
 let socket_arg =
   let doc = "Unix-domain socket of the charon-serve daemon." in
@@ -499,39 +506,42 @@ let socket_arg =
     & opt string "charon-serve.sock"
     & info [ "socket" ] ~docv:"PATH" ~doc)
 
+(* A TCP endpoint: HOST:PORT, or just PORT for 127.0.0.1. *)
+let endpoint =
+  let parse s =
+    let host, port =
+      match String.rindex_opt s ':' with
+      | None -> ("", s)
+      | Some i ->
+          (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+    in
+    match int_of_string_opt port with
+    | Some port ->
+        Ok ((if String.equal host "" then "127.0.0.1" else host), port)
+    | None ->
+        Error (`Msg (Printf.sprintf "bad endpoint %S (expected HOST:PORT)" s))
+  in
+  Arg.conv (parse, fun ppf (host, port) -> Format.fprintf ppf "%s:%d" host port)
+
 let tcp_client_arg =
   let doc =
     "Reach the daemon over TCP at $(docv) instead of the Unix socket \
      (HOST:PORT, or just PORT for 127.0.0.1)."
   in
-  Arg.(value & opt (some string) None & info [ "tcp" ] ~docv:"HOST:PORT" ~doc)
+  Arg.(
+    value & opt (some endpoint) None & info [ "tcp" ] ~docv:"HOST:PORT" ~doc)
 
 let api_key_arg =
   let doc = "Tenant API key (required over TCP when tenants are configured)." in
   Arg.(value & opt (some string) None & info [ "api-key" ] ~docv:"KEY" ~doc)
 
-let parse_tcp_endpoint s =
-  match String.rindex_opt s ':' with
-  | None -> ("127.0.0.1", int_of_string s)
-  | Some i ->
-      let host = String.sub s 0 i in
-      let port =
-        int_of_string (String.sub s (i + 1) (String.length s - i - 1))
-      in
-      ((if host = "" then "127.0.0.1" else host), port)
-
 let addr_of socket tcp =
   match tcp with
   | None -> Server.Client.Unix_socket socket
-  | Some s -> (
-      match parse_tcp_endpoint s with
-      | host, port -> Server.Client.Tcp (host, port)
-      | exception (Failure _ | Invalid_argument _) ->
-          Printf.eprintf "bad --tcp endpoint %S (expected HOST:PORT)\n" s;
-          exit 2)
+  | Some (host, port) -> Server.Client.Tcp (host, port)
 
-(* Shared error surface for the daemon-client subcommands (submit,
-   stats): connection failures, structured rejects, prose errors. *)
+(* Shared error surface for the daemon-client subcommands: connection
+   failures, structured rejects, prose errors, torn responses. *)
 let with_daemon addr f =
   match f () with
   | code -> code
@@ -548,6 +558,11 @@ let with_daemon addr f =
         (if retryable then ", retryable" else "")
         message;
       1
+  | exception Telemetry.Jsonw.Parse_error msg ->
+      (* A daemon dying mid-write can tear a line on the '\n' boundary,
+         leaving broken JSON: a failed request, not a reply. *)
+      Printf.eprintf "malformed response from the daemon: %s\n" msg;
+      1
 
 let serve_cmd =
   let cache_arg =
@@ -563,7 +578,8 @@ let serve_cmd =
       "Also listen on TCP at $(docv) (HOST:PORT, or just PORT for \
        127.0.0.1; port 0 picks an ephemeral port)."
     in
-    Arg.(value & opt (some string) None & info [ "tcp" ] ~docv:"HOST:PORT" ~doc)
+    Arg.(
+      value & opt (some endpoint) None & info [ "tcp" ] ~docv:"HOST:PORT" ~doc)
   in
   let tenants_file_arg =
     let doc =
@@ -589,15 +605,6 @@ let serve_cmd =
       proofcache_size proofcache_persist trace stats =
     match
       let socket = if socket = "" then None else Some socket in
-      let tcp =
-        match tcp with
-        | None -> None
-        | Some s -> (
-            try Some (parse_tcp_endpoint s)
-            with Failure _ | Invalid_argument _ ->
-              failwith
-                (Printf.sprintf "bad --tcp endpoint %S (expected HOST:PORT)" s))
-      in
       let tenants =
         match tenants_file with
         | None -> Server.Tenant.empty
@@ -642,7 +649,9 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Run the verification daemon (see also charon-serve-client)")
+       ~doc:
+         "Run the verification daemon; $(b,submit), $(b,status), \
+          $(b,cancel), $(b,stats), $(b,ping) and $(b,shutdown) talk to it")
     term
 
 let submit_cmd =
@@ -654,8 +663,12 @@ let submit_cmd =
     let doc = "Label echoed back in status responses." in
     Arg.(value & opt string "property" & info [ "name" ] ~docv:"NAME" ~doc)
   in
-  let run () socket tcp api_key network target center radius box timeout delta
-      seed name wait =
+  let max_steps_arg =
+    let doc = "Per-job abstract-transformer step budget." in
+    Arg.(value & opt (some int) None & info [ "max-steps" ] ~docv:"N" ~doc)
+  in
+  let run () socket tcp api_key network target center radius box timeout
+      max_steps delta seed name wait =
     let addr = addr_of socket tcp in
     let spec =
       {
@@ -665,7 +678,7 @@ let submit_cmd =
         target;
         delta;
         timeout = Some timeout;
-        max_steps = None;
+        max_steps;
         seed;
       }
     in
@@ -685,7 +698,8 @@ let submit_cmd =
     Term.(
       const run $ logs_term $ socket_arg $ tcp_client_arg $ api_key_arg
       $ network_arg $ target_arg $ center_arg $ radius_arg $ box_arg
-      $ timeout_arg $ delta_arg $ seed_arg $ name_arg $ wait_flag)
+      $ timeout_arg $ max_steps_arg $ delta_arg $ seed_arg $ name_arg
+      $ wait_flag)
   in
   Cmd.v
     (Cmd.info "submit" ~doc:"Submit one verification job to a running daemon")
@@ -789,6 +803,51 @@ let stats_srv_cmd =
          "Per-tenant accounting, queue and cache statistics of a running \
           daemon")
     term
+
+(* The one-request subcommands: [request] sends it and the reply is
+   printed; the client raises on any reply that is not ok. *)
+let reply_cmd name ~doc request =
+  let run () socket tcp api_key request =
+    let addr = addr_of socket tcp in
+    with_daemon addr (fun () ->
+        let json = request ~api_key ~addr in
+        print_endline (Telemetry.Jsonw.to_string ~pretty:true json);
+        0)
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const run $ logs_term $ socket_arg $ tcp_client_arg $ api_key_arg
+      $ request)
+
+let id_arg =
+  let doc = "Job id (from the submit response)." in
+  Arg.(required & opt (some int) None & info [ "id" ] ~docv:"ID" ~doc)
+
+let status_cmd =
+  let since_arg =
+    let doc = "Only return events with sequence number at least $(docv)." in
+    Arg.(value & opt int 0 & info [ "since" ] ~docv:"SEQ" ~doc)
+  in
+  reply_cmd "status" ~doc:"Poll one job's state and events"
+    Term.(
+      const (fun id since ~api_key ~addr ->
+          Server.Client.status ?api_key ~addr ~since id)
+      $ id_arg $ since_arg)
+
+let cancel_cmd =
+  reply_cmd "cancel" ~doc:"Cancel a queued or running job"
+    Term.(
+      const (fun id ~api_key ~addr -> Server.Client.cancel ?api_key ~addr id)
+      $ id_arg)
+
+let ping_cmd =
+  reply_cmd "ping" ~doc:"Check that a running daemon answers"
+    (Term.const (fun ~api_key ~addr -> Server.Client.ping ?api_key ~addr ()))
+
+let shutdown_cmd =
+  reply_cmd "shutdown" ~doc:"Stop a running daemon (cancels all pending jobs)"
+    (Term.const (fun ~api_key ~addr ->
+         Server.Client.shutdown ?api_key ~addr ()))
 
 (* ------------------------------------------------------------------ *)
 (* dverify / worker                                                   *)
@@ -1026,7 +1085,11 @@ let () =
             export_cmd;
             serve_cmd;
             submit_cmd;
+            status_cmd;
+            cancel_cmd;
             stats_srv_cmd;
+            ping_cmd;
+            shutdown_cmd;
             dverify_cmd;
             worker_cmd;
             demo_cmd;

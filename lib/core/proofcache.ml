@@ -18,26 +18,18 @@
    cuts whenever a cache is attached: interior subregions of
    overlapping root boxes then coincide bit-for-bit.
 
-   Persistence is an append-only JSONL journal: one {"v":1,"proved":
-   "<hex>"} object per line, appended (and flushed) as facts are
-   recorded, replayed into the LRU on [create].  The journal may hold
-   more facts than [capacity]; the most recent [capacity] survive the
-   load.  Unparseable lines are skipped, so a torn tail write cannot
-   poison a restart.
+   Persistence is a Common.Journal: one {"v":1,"proved":"<hex>"}
+   object per line, appended (and flushed) as facts are recorded,
+   replayed into the LRU on [create] under the journal's replay rule.
+   The journal may hold more facts than [capacity]; the last
+   [capacity] distinct facts survive the load.
 
-   Domain-safe: the LRU has its own lock; the journal channel is
-   guarded by [io_mutex].  Hit/lookup tallies live in the LRU's atomics
-   and are mirrored into the telemetry counters proofcache.lookups /
-   .hits / .records / .evictions. *)
+   Domain-safe: the LRU and the journal each have their own lock.
+   Hit/lookup tallies live in the LRU's atomics and are mirrored into
+   the telemetry counters proofcache.lookups / .hits / .records /
+   .evictions. *)
 
-type t = {
-  lru : unit Common.Lru.t;
-  io_mutex : Mutex.t;
-  mutable journal : out_channel option;
-  path : string option;
-  loaded : int;
-}
-[@@race.guarded_by "io_mutex"]
+type t = { lru : unit Common.Lru.t; journal : Common.Journal.t option }
 
 let c_lookups = Telemetry.Metrics.counter "proofcache.lookups"
 
@@ -60,61 +52,23 @@ let key ~net_digest ~target ~delta ~(region : Domains.Box.t) =
   Buffer.add_string buf (Domains.Partition.key_of_box region);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* One journal line.  Keys are hex digests, so no JSON escaping is ever
-   needed on the write side, and the read side can scan for the quoted
-   value without a full parser. *)
-let journal_line k = Printf.sprintf "{\"v\":1,\"proved\":\"%s\"}" k
-
-let parse_journal_line line =
-  let marker = "\"proved\":\"" in
-  let n = String.length line and m = String.length marker in
-  let rec find i =
-    if i + m > n then None
-    else if String.sub line i m = marker then
-      let j = i + m in
-      match String.index_from_opt line j '"' with
-      | Some close when close > j -> Some (String.sub line j (close - j))
-      | _ -> None
-    else find (i + 1)
-  in
-  find 0
-
-let load_journal lru path =
-  if Sys.file_exists path then begin
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let n = ref 0 in
-        (try
-           while true do
-             match parse_journal_line (input_line ic) with
-             | Some k ->
-                 ignore (Common.Lru.put lru k ());
-                 incr n
-             | None -> ()
-           done
-         with End_of_file -> ());
-        !n)
-  end
-  else 0
+let decode json =
+  match Telemetry.Jsonw.member "proved" json with
+  | Some (Telemetry.Jsonw.Str k) -> Some (k, ())
+  | _ -> None
 
 let create ?(capacity = 65536) ?persist () =
   let lru = Common.Lru.create ~capacity () in
-  let loaded =
-    match persist with Some p -> load_journal lru p | None -> 0
-  in
   let journal =
-    match persist with
-    | Some p ->
-        Some (open_out_gen [ Open_append; Open_creat ] 0o644 p)
-    | None -> None
+    Option.map
+      (fun path ->
+        Common.Journal.create ~path ~decode ~replay:(fun k () ->
+            ignore (Common.Lru.put lru k ())))
+      persist
   in
-  { lru; io_mutex = Mutex.create (); journal; path = persist; loaded }
+  { lru; journal }
 
-let loaded t = t.loaded
-
-let persist_path t = t.path
+let loaded t = Option.fold ~none:0 ~some:Common.Journal.loaded t.journal
 
 let lookup t k =
   Telemetry.Metrics.incr c_lookups;
@@ -127,32 +81,16 @@ let lookup t k =
 let record t k =
   (* [mem] first so a warm run does not re-journal facts it just
      loaded; the mem/put race across domains can at worst duplicate a
-     line on disk, and the load path dedupes through the LRU anyway. *)
+     line on disk, and replay keeps only the first line per key. *)
   let known = Common.Lru.mem t.lru k in
   if Common.Lru.put t.lru k () then Telemetry.Metrics.incr c_evictions;
   Telemetry.Metrics.incr c_records;
   if not known then
-    match t.journal with
-    | None -> ()
-    | Some oc ->
-        Mutex.lock t.io_mutex;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock t.io_mutex)
-          (fun () ->
-            output_string oc (journal_line k);
-            output_char oc '\n';
-            flush oc)
+    Option.iter
+      (fun j -> Common.Journal.append j [ ("proved", Telemetry.Jsonw.Str k) ])
+      t.journal
 
-let close t =
-  Mutex.lock t.io_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.io_mutex)
-    (fun () ->
-      match t.journal with
-      | Some oc ->
-          t.journal <- None;
-          close_out_noerr oc
-      | None -> ())
+let close t = Option.iter Common.Journal.close t.journal
 
 type stats = {
   entries : int;

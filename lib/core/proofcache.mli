@@ -24,9 +24,9 @@ type t
 
 val create : ?capacity:int -> ?persist:string -> unit -> t
 (** [capacity] (default 65536) bounds the in-memory LRU.  [persist]
-    names an append-only JSONL journal (one [{"v":1,"proved":"<hex>"}]
-    per line): existing facts are replayed into the LRU on create
-    (unparseable lines skipped) and new facts are appended and flushed
+    names a {!Common.Journal} (one [{"v":1,"proved":"<hex>"}] per
+    line): existing facts are replayed into the LRU on create, under
+    the journal's replay rule, and new facts are appended and flushed
     as they are recorded.
     @raise Invalid_argument when [capacity < 1]. *)
 
@@ -53,9 +53,9 @@ val record : t -> string -> unit
     it was already present. *)
 
 val loaded : t -> int
-(** Facts replayed from the journal at [create] time. *)
-
-val persist_path : t -> string option
+(** Distinct facts replayed from the journal at [create] time: a fact
+    on several lines counts once, and lines that are torn, do not
+    decode or do not carry ["v":1] count not at all. *)
 
 val close : t -> unit
 (** Close the journal channel (facts already flushed survive).  The

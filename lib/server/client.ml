@@ -1,7 +1,7 @@
 (* Thin client for the charon-serve wire protocol: one connection per
-   request, line-framed JSON both ways (see Protocol).  Shared by
-   bin/serve_client.ml, the `charon submit` subcommand, and the server
-   lifecycle tests.
+   request, line-framed JSON both ways (see Protocol).  Shared by the
+   `charon` client subcommands (submit, status, cancel, stats, ping,
+   shutdown) and the server lifecycle tests.
 
    Transports: a Unix socket connection sends the request directly
    (trusted, anonymous); a TCP connection — or any connection carrying

@@ -1,6 +1,6 @@
 (** Thin charon-serve client: one connection per request, line-framed
-    JSON both ways, over a Unix socket or TCP.  Used by the CLI client
-    binaries and the server lifecycle tests.
+    JSON both ways, over a Unix socket or TCP.  Used by the [charon]
+    client subcommands and the server lifecycle tests.
 
     TCP connections (and any connection carrying an API key) open with
     the versioned hello handshake before the request; bare Unix-socket

@@ -47,7 +47,14 @@ let attached t =
   with_lock t (fun () -> t.coalesced_total <- t.coalesced_total + 1);
   Telemetry.Metrics.incr c_coalesced
 
-let finish t key = with_lock t (fun () -> Hashtbl.remove t.inflight key)
+(* Only while [key] still maps to [rid]: a cancelled run settles after
+   a newer run for the same question has registered, and must not
+   orphan it. *)
+let finish t key rid =
+  with_lock t (fun () ->
+      match Hashtbl.find_opt t.inflight key with
+      | Some r when r = rid -> Hashtbl.remove t.inflight key
+      | Some _ | None -> ())
 
 let inflight_keys t = with_lock t (fun () -> Hashtbl.length t.inflight)
 

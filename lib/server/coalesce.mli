@@ -20,9 +20,10 @@ val register : t -> string -> int -> unit
 val attached : t -> unit
 (** Tally one follower attachment (mirrors [serve.coalesced]). *)
 
-val finish : t -> string -> unit
-(** The run settled (or was cancelled): later identical submits start
-    a fresh run (or hit the verdict cache). *)
+val finish : t -> string -> int -> unit
+(** [finish t key rid]: run [rid] settled (or was cancelled), so later
+    identical submits start a fresh run (or hit the verdict cache).
+    Does nothing once [key] maps to a newer run. *)
 
 val inflight_keys : t -> int
 

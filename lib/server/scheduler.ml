@@ -221,7 +221,7 @@ let finalize_run t run ~wall outcome =
   with_lock t (fun () ->
       if not run.finalized then begin
         run.finalized <- true;
-        Coalesce.finish t.coalesce run.rkey;
+        Coalesce.finish t.coalesce run.rkey run.rid;
         Hashtbl.remove t.runs run.rid;
         let cancelled = Parallel.Cancel.cancelled run.rcancel in
         (match outcome with
@@ -623,7 +623,7 @@ let cancel t id =
                    submit starts a fresh run instead of attaching to a
                    dying one. *)
                 Parallel.Cancel.cancel run.rcancel;
-                Coalesce.finish t.coalesce run.rkey;
+                Coalesce.finish t.coalesce run.rkey run.rid;
                 emit job "cancel_requested";
                 job_json job ~since:0
               end
@@ -637,7 +637,7 @@ let cancel t id =
                 if others = [] && not run.finalized then begin
                   Parallel.Cancel.cancel run.rcancel;
                   run.finalized <- true;
-                  Coalesce.finish t.coalesce run.rkey;
+                  Coalesce.finish t.coalesce run.rkey run.rid;
                   Hashtbl.remove t.runs run.rid
                 end;
                 settle_cancelled t job;
@@ -782,7 +782,7 @@ let shutdown t =
             Parallel.Cancel.cancel run.rcancel;
             if not run.claimed && not run.finalized then begin
               run.finalized <- true;
-              Coalesce.finish t.coalesce run.rkey;
+              Coalesce.finish t.coalesce run.rkey run.rid;
               List.iter
                 (fun jid ->
                   match Hashtbl.find_opt t.jobs jid with

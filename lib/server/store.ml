@@ -1,12 +1,11 @@
 (* The persistent verdict store behind the charon-serve LRU.
 
    The in-memory verdict cache answers repeats fast but forgets on
-   restart; this store is the durable layer underneath it.  Same
-   journal discipline as Charon.Proofcache: an append-only JSONL file,
-   one verdict per line, appended and flushed as jobs solve new
-   problems and replayed on [create].  Unparseable or torn lines are
-   skipped on load, so a crash mid-append can lose at most the final
-   fact, never poison a restart.
+   restart; this store is the durable layer underneath it.  Like
+   Charon.Proofcache it persists through a Common.Journal: one verdict
+   per line, appended and flushed as jobs solve new problems and
+   replayed on [create] under the journal's replay rule, so a crash
+   mid-append can lose at most the final fact, never poison a restart.
 
    One line per fact:
 
@@ -21,7 +20,8 @@
    Unlike the LRU, the store keeps every fact in memory (a hash table,
    not a recency list): it is the system of record the LRU is a hot
    set of, and a verdict is a few hundred bytes.  Domain-safe: one
-   mutex over table and journal. *)
+   mutex over the table and the tallies; appends happen under it, so
+   the journal's own lock nests inside and is never contended. *)
 
 module J = Telemetry.Jsonw
 
@@ -34,80 +34,42 @@ let c_hits = Telemetry.Metrics.counter "serve.store.hits"
 type t = {
   mutex : Mutex.t;
   table : (string, Common.Outcome.t * float) Hashtbl.t;
-  mutable journal : out_channel option;
-  path : string;
-  loaded : int;
+  journal : Common.Journal.t;
   mutable appended : int;
   mutable hits : int;
 }
 [@@race.guarded_by "mutex"]
 
-let journal_line key outcome ~cold_wall =
-  J.to_string
-    (J.Obj
-       [
-         ("v", J.Int 1);
-         ("key", J.Str key);
-         ("cold_wall", J.Float cold_wall);
-         ("verdict", Protocol.outcome_to_json outcome);
-       ])
+(* The line codec: the journal adds the v:1 tag and applies the replay
+   rule; a line whose verdict does not decode is skipped like a torn
+   one. *)
+let fields key outcome ~cold_wall =
+  [
+    ("key", J.Str key);
+    ("cold_wall", J.Float cold_wall);
+    ("verdict", Protocol.outcome_to_json outcome);
+  ]
 
-(* A line only counts when it parses end to end, carries the v:1 tag,
-   and its verdict decodes; anything else — torn tail, garbage, a
-   future format — is skipped, not fatal. *)
-let parse_journal_line line =
-  match J.parse line with
-  | exception J.Parse_error _ -> None
-  | json -> (
-      match (J.member "v" json, J.member "key" json, J.member "verdict" json)
-      with
-      | Some (J.Int 1), Some (J.Str key), Some verdict -> (
-          match Protocol.outcome_of_json verdict with
-          | outcome ->
-              let cold_wall =
-                Option.value ~default:0.0
-                  (Option.bind (J.member "cold_wall" json) J.to_float_opt)
-              in
-              Some (key, outcome, cold_wall)
-          | exception Protocol.Bad_request _ -> None)
-      | _ -> None)
-
-let load_journal table path =
-  if Sys.file_exists path then begin
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        (try
-           while true do
-             match parse_journal_line (input_line ic) with
-             | Some (key, outcome, cold_wall) ->
-                 (* First record wins, as in [record]: a verdict is a
-                    fact, so a duplicate line (e.g. an eviction race
-                    that appended twice) never replaces it. *)
-                 if not (Hashtbl.mem table key) then
-                   Hashtbl.replace table key (outcome, cold_wall)
-             | None -> ()
-           done
-         with End_of_file -> ());
-        Hashtbl.length table)
-  end
-  else 0
+let decode json =
+  match (J.member "key" json, J.member "verdict" json) with
+  | Some (J.Str key), Some verdict -> (
+      match Protocol.outcome_of_json verdict with
+      | outcome ->
+          let cold_wall =
+            Option.value ~default:0.0
+              (Option.bind (J.member "cold_wall" json) J.to_float_opt)
+          in
+          Some (key, (outcome, cold_wall))
+      | exception Protocol.Bad_request _ -> None)
+  | _ -> None
 
 let create ~path () =
   let table = Hashtbl.create 1024 in
-  let loaded = load_journal table path in
-  Telemetry.Metrics.add c_loaded loaded;
-  let journal = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  {
-    mutex = Mutex.create ();
-    table;
-    journal = Some journal;
-    path;
-    loaded;
-    appended = 0;
-    hits = 0;
-  }
+  let journal =
+    Common.Journal.create ~path ~decode ~replay:(Hashtbl.replace table)
+  in
+  Telemetry.Metrics.add c_loaded (Common.Journal.loaded journal);
+  { mutex = Mutex.create (); table; journal; appended = 0; hits = 0 }
 
 let with_lock t f =
   Mutex.lock t.mutex;
@@ -128,25 +90,14 @@ let record t key outcome ~cold_wall =
         Hashtbl.replace t.table key (outcome, cold_wall);
         t.appended <- t.appended + 1;
         Telemetry.Metrics.incr c_appended;
-        match t.journal with
-        | None -> ()
-        | Some oc ->
-            output_string oc (journal_line key outcome ~cold_wall);
-            output_char oc '\n';
-            flush oc
+        Common.Journal.append t.journal (fields key outcome ~cold_wall)
       end)
 
-let close t =
-  with_lock t (fun () ->
-      match t.journal with
-      | Some oc ->
-          t.journal <- None;
-          close_out_noerr oc
-      | None -> ())
+let close t = Common.Journal.close t.journal
 
-let path t = t.path
+let path t = Common.Journal.path t.journal
 
-let loaded t = t.loaded
+let loaded t = Common.Journal.loaded t.journal
 
 type stats = { entries : int; loaded : int; appended : int; hits : int }
 
@@ -154,7 +105,7 @@ let stats t =
   with_lock t (fun () ->
       {
         entries = Hashtbl.length t.table;
-        loaded = t.loaded;
+        loaded = loaded t;
         appended = t.appended;
         hits = t.hits;
       })

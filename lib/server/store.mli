@@ -1,10 +1,10 @@
 (** The persistent on-disk verdict store behind the charon-serve LRU
     (docs/serving.md).
 
-    Append-only JSONL journal, one solved verdict per line (Protocol's
+    A {!Common.Journal}, one solved verdict per line (Protocol's
     outcome encoding, bit-exact witnesses), replayed into memory on
-    {!create}.  Torn or unparseable lines are skipped — a crash
-    mid-append loses at most the final fact.  Domain-safe. *)
+    {!create} under the journal's replay rule — a crash mid-append
+    loses at most the final fact.  Domain-safe. *)
 
 type t
 

@@ -1,8 +1,7 @@
 (** charon-dverify worker process: verifies split subtrees assigned by
     {!Coordinator} over the [Protocol.Dist] session on its
-    stdin/stdout.  Host binaries expose it behind a flag
-    ([charon worker], [serve.exe --worker]) so the coordinator can
-    spawn its own executable as the worker.
+    stdin/stdout.  The [charon worker] subcommand runs it, so the
+    coordinator can spawn its own executable as the worker.
 
     Environment:
     - [CHARON_WORKER_TRACE]: path; enables JSONL telemetry traces.

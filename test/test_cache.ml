@@ -235,17 +235,38 @@ let test_proofcache_persistence_roundtrip () =
 let test_proofcache_journal_skips_garbage () =
   with_temp_journal (fun path ->
       let k = mk_key xor_net (Box.create ~lo:[| 0.0 |] ~hi:[| 1.0 |]) in
+      let k2 = mk_key xor_net (Box.create ~lo:[| 0.0 |] ~hi:[| 2.0 |]) in
+      let k3 = mk_key xor_net (Box.create ~lo:[| 0.0 |] ~hi:[| 3.0 |]) in
+      let line v k = Printf.sprintf "{\"v\":%d,\"proved\":\"%s\"}\n" v k in
       let oc = open_out path in
-      output_string oc ("{\"v\":1,\"proved\":\"" ^ k ^ "\"}\n");
+      (* One fact on three lines counts once. *)
+      output_string oc (line 1 k);
+      output_string oc (line 1 k);
       output_string oc "not json at all\n";
+      output_string oc (line 1 k);
+      (* A future format is not a proof. *)
+      output_string oc (line 2 k2);
       output_string oc "{\"v\":1,\"proved\":\"";
       (* torn final line: no closing quote, no newline *)
       close_out oc;
       let c = Charon.Proofcache.create ~persist:path () in
-      Alcotest.(check int) "only the intact line loads" 1
+      Alcotest.(check int) "one distinct intact fact loads" 1
         (Charon.Proofcache.loaded c);
+      Alcotest.(check int) "one entry" 1
+        (Charon.Proofcache.stats c).Charon.Proofcache.entries;
       Util.check_true "intact fact hits" (Charon.Proofcache.lookup c k);
-      Charon.Proofcache.close c)
+      Util.check_true "v:2 line not loaded"
+        (not (Charon.Proofcache.lookup c k2));
+      (* The first fact recorded after the crash must start a line of
+         its own, not join the torn fragment and vanish on replay. *)
+      Charon.Proofcache.record c k3;
+      Charon.Proofcache.close c;
+      let c2 = Charon.Proofcache.create ~persist:path () in
+      Alcotest.(check int) "the new fact replays too" 2
+        (Charon.Proofcache.loaded c2);
+      Util.check_true "fact recorded after the torn tail hits"
+        (Charon.Proofcache.lookup c2 k3);
+      Charon.Proofcache.close c2)
 
 let test_proofcache_warm_rerun_hits_at_root () =
   (* End-to-end: verifying the same property twice against one cache
@@ -336,7 +357,17 @@ let test_verdict_store_roundtrip_skips_garbage () =
       | Some (Common.Outcome.Verified, w) ->
           Util.check_close ~eps:0.0 "evicted verdict served from store" 0.1 w
       | _ -> Alcotest.fail "evicted verdict lost");
-      Server.Store.close s2)
+      Server.Store.close s2;
+      (* "a" was the first fact appended after the torn tail: it must
+         have started a line of its own and replay after a restart. *)
+      let s3 = Server.Store.create ~path () in
+      Alcotest.(check int) "facts recorded after the torn tail replay" 4
+        (Server.Store.loaded s3);
+      (match Server.Store.find s3 "a" with
+      | Some (Common.Outcome.Verified, w) ->
+          Util.check_close ~eps:0.0 "post-crash fact survives" 0.1 w
+      | _ -> Alcotest.fail "fact recorded after the torn tail lost");
+      Server.Store.close s3)
 
 let () =
   Alcotest.run "cache"

@@ -546,6 +546,40 @@ let test_shutdown_cancels_pending () =
   Server.Daemon.stop handle;
   Util.check_true "socket removed again" (not (Sys.file_exists socket))
 
+let test_cancelled_run_keeps_newer_coalesce_key () =
+  (* Cancel run A while it executes, then ask the same question again:
+     B starts a fresh run.  When A finally settles it must not drop
+     B's coalescing entry, or C — the same question, asked while B is
+     still live — becomes a third run.  One worker and a wide
+     staircase make every region slow, so A is still winding down
+     when B arrives. *)
+  let s = Server.Scheduler.create ~workers:1 () in
+  Fun.protect
+    ~finally:(fun () -> Server.Scheduler.shutdown s)
+    (fun () ->
+      let spec = staircase_spec 300 in
+      let state id =
+        jstr (Server.Scheduler.status s ~id ~since:0) [ "state" ]
+      in
+      let await what p =
+        let deadline = Unix.gettimeofday () +. 30.0 in
+        while (not (p ())) && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.005
+        done;
+        Util.check_true what (p ())
+      in
+      let a = jint (Server.Scheduler.submit s spec) [ "id" ] in
+      await "A running" (fun () -> String.equal (state a) "running");
+      check_ok (Server.Scheduler.cancel s a);
+      let b = Server.Scheduler.submit s spec in
+      Util.check_true "B does not ride the dying A"
+        (not (jbool b [ "coalesced" ]));
+      await "A settles" (fun () -> String.equal (state a) "cancelled");
+      Util.check_true "B still live"
+        (not (Server.Client.terminal (state (jint b [ "id" ]))));
+      let c = Server.Scheduler.submit s spec in
+      Util.check_true "C coalesces onto B" (jbool c [ "coalesced" ]))
+
 let () =
   Alcotest.run "server"
     [
@@ -561,5 +595,7 @@ let () =
           Util.slow_case "TCP tenants: auth, quota, coalescing"
             test_tcp_tenants_quota_coalescing;
           Util.case "shutdown cancels pending work" test_shutdown_cancels_pending;
+          Util.case "a cancelled run keeps a newer run's coalescing"
+            test_cancelled_run_keeps_newer_coalesce_key;
         ] );
     ]
