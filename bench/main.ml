@@ -182,7 +182,9 @@ let micro opts =
     ignore
       (Bayesopt.Gp.fit (Bayesopt.Kernel.matern52 ~length:0.3 ()) ~inputs ~targets)
   in
-  let symbolic () = ignore (Reluval.Symbolic_interval.propagate net region) in
+  let symbolic () =
+    ignore (Absint.Analyzer.output_bounds net region Domains.Domain.symbolic)
+  in
   let lp () =
     let enc = Reluplex.Encoding.build net region in
     let lp = Simplex.Lp.create ~nvars:enc.Reluplex.Encoding.nvars in

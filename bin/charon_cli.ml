@@ -613,14 +613,20 @@ let serve_cmd =
       (match trace with
       | Some path -> Telemetry.enable ~path ()
       | None -> Telemetry.enable ());
+      let daemon =
+        Server.Daemon.start ?socket ?tcp ~workers ~cache_capacity:cache_size
+          ~proofcache_capacity:proofcache_size ?proofcache_persist
+          ?store_path:store ~queue_capacity ~tenants ()
+      in
+      (* After the bind, so the line names the port that port 0 got. *)
       Printf.printf
         "charon serve: listening on %s (%d workers, cache %d, proofcache %d%s%s)\n%!"
         (String.concat " + "
-           ((match socket with Some s -> [ s ] | None -> [])
+           (Option.to_list socket
            @
-           match tcp with
-           | Some (h, p) -> [ Printf.sprintf "%s:%d" h p ]
-           | None -> []))
+           match (tcp, Server.Daemon.tcp_port daemon) with
+           | Some (h, _), Some p -> [ Printf.sprintf "%s:%d" h p ]
+           | _ -> []))
         workers cache_size proofcache_size
         (match proofcache_persist with
         | Some p -> Printf.sprintf " persisted to %s" p
@@ -628,9 +634,7 @@ let serve_cmd =
         (match store with
         | Some p -> Printf.sprintf ", verdict store %s" p
         | None -> "");
-      Server.Daemon.serve ?socket ?tcp ~workers ~cache_capacity:cache_size
-        ~proofcache_capacity:proofcache_size ?proofcache_persist
-        ?store_path:store ~queue_capacity ~tenants ()
+      Server.Daemon.wait daemon
     with
     | () ->
         if stats then print_string (Telemetry.Metrics.summary_table ());

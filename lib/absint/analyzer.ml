@@ -57,16 +57,10 @@ let propagate (type a) (module D : Domain_sig.S with type t = a) ?(jobs = 1)
       Telemetry.Metrics.incr c_transformer;
       let sp = Telemetry.Span.enter "absint.layer" in
       let next =
-        match layer with
-        | Nn.Layer.Relu -> D.relu acc
-        | Nn.Layer.Maxpool p -> D.maxpool p acc
-        | Nn.Layer.Affine { w; b } -> D.affine w b acc
-        | Nn.Layer.Conv c ->
-            let w, b = Nn.Conv.to_affine c in
-            D.affine w b acc
-        | Nn.Layer.Avgpool p ->
-            let w, b = Nn.Avgpool.to_affine p in
-            D.affine w b acc
+        match Nn.Layer.lower layer with
+        | `Linear (w, b) -> D.affine w b acc
+        | `Relu -> D.relu acc
+        | `Maxpool p -> D.maxpool p acc
       in
       record next;
       Telemetry.Metrics.observe h_generators (D.num_generators next);

@@ -133,11 +133,12 @@ let backward_batch ?jobs layer ~(x : Mat.t) ~(dout : Mat.t) =
       done;
       dx
 
-let as_affine = function
-  | Affine { w; b } -> Some (w, b)
-  | Conv c -> Some (Conv.to_affine c)
-  | Avgpool p -> Some (Avgpool.to_affine p)
-  | Relu | Maxpool _ -> None
+let lower = function
+  | Affine { w; b } -> `Linear (w, b)
+  | Conv c -> `Linear (Conv.to_affine c)
+  | Avgpool p -> `Linear (Avgpool.to_affine p)
+  | Relu -> `Relu
+  | Maxpool p -> `Maxpool p
 
 let describe = function
   | Affine { w; _ } -> Printf.sprintf "affine %dx%d" w.Mat.rows w.Mat.cols

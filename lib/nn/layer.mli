@@ -44,9 +44,13 @@ val backward_batch :
 (** [backward] over a batch, one sample per row ([dX = dY W] for affine
     layers).  [?jobs] as in {!forward_batch}. *)
 
-val as_affine : t -> (Linalg.Mat.t * Linalg.Vec.t) option
-(** Dense affine view of the layer if it is affine ([Affine], [Conv]
-    or [Avgpool]); [None] for non-linear layers. *)
+val lower :
+  t ->
+  [ `Linear of Linalg.Mat.t * Linalg.Vec.t | `Relu | `Maxpool of Pool.t ]
+(** The layer as abstract interpreters and encoders see it: [Affine],
+    [Conv] and [Avgpool] all become one dense [`Linear (w, b)] for
+    [y = w x + b]; the two non-linear layers stay as they are.  The one
+    place convolution and average pooling are lowered. *)
 
 val describe : t -> string
 (** One-line human-readable description. *)

@@ -56,15 +56,13 @@ let num_relu_units t =
     0 t.layers
 
 let lipschitz_upper t =
+  (* A linear layer's sup-norm operator norm is its largest absolute row
+     sum; ReLU and max pooling are 1-Lipschitz. *)
   List.fold_left
     (fun acc layer ->
-      match layer with
-      | Layer.Relu | Layer.Maxpool _ -> acc
-      | Layer.Avgpool _ -> acc (* averaging is 1-Lipschitz in sup norm *)
-      | Layer.Affine { w; _ } -> acc *. Vec.max (Mat.abs_row_sums w)
-      | Layer.Conv c ->
-          let w, _ = Conv.to_affine c in
-          acc *. Vec.max (Mat.abs_row_sums w))
+      match Layer.lower layer with
+      | `Linear (w, _) -> acc *. Vec.max (Mat.abs_row_sums w)
+      | `Relu | `Maxpool _ -> acc)
     1.0 t.layers
 
 let describe t =

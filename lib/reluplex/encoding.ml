@@ -37,36 +37,28 @@ let build net region =
     ref (Interval.of_bounds ~lo:region.Box.lo ~hi:region.Box.hi)
   in
   let seg_vars = ref seg_vars in
-  let apply_affine w b =
-    let itv' = Interval.affine w b !seg_itv in
-    let vars' =
-      Array.init w.Mat.rows (fun r -> alloc (Interval.bounds itv' r))
-    in
-    (* z_r - Σ_c w_rc x_c = b_r *)
-    for r = 0 to w.Mat.rows - 1 do
-      let row = ref [ (vars'.(r), 1.0) ] in
-      for c = 0 to w.Mat.cols - 1 do
-        let wrc = Mat.get w r c in
-        if wrc <> 0.0 then row := (!seg_vars.(c), -.wrc) :: !row
-      done;
-      equalities := (!row, b.(r)) :: !equalities
-    done;
-    seg_itv := itv';
-    seg_vars := vars'
-  in
   List.iter
     (fun layer ->
-      match layer with
-      | Nn.Layer.Affine { w; b } -> apply_affine w b
-      | Nn.Layer.Conv c ->
-          let w, b = Nn.Conv.to_affine c in
-          apply_affine w b
-      | Nn.Layer.Avgpool p ->
-          let w, b = Nn.Avgpool.to_affine p in
-          apply_affine w b
-      | Nn.Layer.Maxpool _ ->
+      match Nn.Layer.lower layer with
+      | `Linear (w, b) ->
+          let itv' = Interval.affine w b !seg_itv in
+          let vars' =
+            Array.init w.Mat.rows (fun r -> alloc (Interval.bounds itv' r))
+          in
+          (* z_r - Σ_c w_rc x_c = b_r *)
+          for r = 0 to w.Mat.rows - 1 do
+            let row = ref [ (vars'.(r), 1.0) ] in
+            for c = 0 to w.Mat.cols - 1 do
+              let wrc = Mat.get w r c in
+              if wrc <> 0.0 then row := (!seg_vars.(c), -.wrc) :: !row
+            done;
+            equalities := (!row, b.(r)) :: !equalities
+          done;
+          seg_itv := itv';
+          seg_vars := vars'
+      | `Maxpool _ ->
           raise (Unsupported "max pooling is not supported by the LP encoding")
-      | Nn.Layer.Relu ->
+      | `Relu ->
           let itv' = Interval.relu !seg_itv in
           let vars' =
             Array.init (Interval.dim itv') (fun i -> alloc (Interval.bounds itv' i))

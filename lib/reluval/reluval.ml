@@ -15,16 +15,54 @@ type report = {
   max_depth : int;
 }
 
+(* What the interval backward pass needs from each layer, recorded by
+   [forward] last layer first. *)
+type step = Linear of Mat.t | Relu_mask of (float * float) array
+
+(* ReluVal's forward pass: one symbolic-interval fold over the network,
+   recording each linear layer's weights and each ReLU's mask interval
+   (from its pre-activation bounds, biases included).  It is ReluVal's
+   own fold rather than [Absint.Analyzer.propagate], so baseline work is
+   not booked to Charon's spans and counters.
+   @raise Failure on max pooling, which ReluVal does not support. *)
+let forward net region =
+  List.fold_left
+    (fun (steps, sym) layer ->
+      match Nn.Layer.lower layer with
+      | `Linear (w, b) -> (Linear w :: steps, Symbolic.affine w b sym)
+      | `Relu ->
+          let mask i =
+            let lo, hi = Symbolic.bounds sym i in
+            if lo >= 0.0 then (1.0, 1.0)
+            else if hi <= 0.0 then (0.0, 0.0)
+            else (0.0, 1.0)
+          in
+          ( Relu_mask (Array.init (Symbolic.dim sym) mask) :: steps,
+            Symbolic.relu sym )
+      | `Maxpool _ -> failwith "Reluval: max pooling is not supported")
+    ([], Symbolic.of_box region) net.Nn.Network.layers
+
 type region_verdict = Proved | Violated | Split_needed
 
-let analyze_region net region ~target =
-  let sym = Symbolic_interval.propagate net region in
-  let m = net.Nn.Network.output_dim in
+(* Bounds on [y_target - y_j]: the symbolic lower bound of
+   [e_target - e_j], and the negated lower bound of [e_j - e_target]. *)
+let pair_bounds out ~target ~j =
+  let diff a b =
+    Vec.init (Symbolic.dim out) (fun i ->
+        if i = a then 1.0 else if i = b then -1.0 else 0.0)
+  in
+  ( Symbolic.linear_lower out ~coeffs:(diff target j),
+    -.Symbolic.linear_lower out ~coeffs:(diff j target) )
+
+let margin_bounds net region ~target ~j =
+  pair_bounds (snd (forward net region)) ~target ~j
+
+let analyze_region out ~target =
   let verdict = ref Proved in
   (try
-     for j = 0 to m - 1 do
+     for j = 0 to Symbolic.dim out - 1 do
        if j <> target then begin
-         let lo, hi = Symbolic_interval.margin_bounds sym ~target ~j in
+         let lo, hi = pair_bounds out ~target ~j in
          if hi < 0.0 then begin
            (* The whole region scores class j above the target. *)
            verdict := Violated;
@@ -37,48 +75,17 @@ let analyze_region net region ~target =
   !verdict
 
 (* ReluVal computes *interval* gradient bounds over the whole region:
-   the backward pass runs in interval arithmetic, with each unstable
-   ReLU contributing the mask interval [0, 1].  Returns per-input
-   magnitude upper bounds on |dN_target/dx_i| over the region. *)
-let gradient_interval net region ~target =
-  (* Forward: record, per layer, either the (lowered) weight matrix or
-     the ReLU unit masks derived from symbolic bounds. *)
-  let steps =
-    List.rev
-      (fst
-         (List.fold_left
-            (fun (acc, sym) layer ->
-              match layer with
-              | Nn.Layer.Affine { w; _ } ->
-                  (`Affine w :: acc, Symbolic_interval.affine w (Vec.zeros w.Mat.rows) sym)
-              | Nn.Layer.Conv c ->
-                  let w, _ = Nn.Conv.to_affine c in
-                  (`Affine w :: acc, Symbolic_interval.affine w (Vec.zeros w.Mat.rows) sym)
-              | Nn.Layer.Avgpool p ->
-                  let w, _ = Nn.Avgpool.to_affine p in
-                  (`Affine w :: acc, Symbolic_interval.affine w (Vec.zeros w.Mat.rows) sym)
-              | Nn.Layer.Relu ->
-                  let masks =
-                    Array.init (Symbolic_interval.dim sym) (fun i ->
-                        let lo, hi = Symbolic_interval.bounds sym i in
-                        if lo >= 0.0 then (1.0, 1.0)
-                        else if hi <= 0.0 then (0.0, 0.0)
-                        else (0.0, 1.0))
-                  in
-                  (`Relu masks :: acc, Symbolic_interval.relu sym)
-              | Nn.Layer.Maxpool _ ->
-                  failwith "Reluval: max pooling is not supported")
-            ([], Symbolic_interval.of_box region)
-            net.Nn.Network.layers))
-  in
-  (* Backward: interval cotangent, starting from the target one-hot. *)
-  let m = net.Nn.Network.output_dim in
-  let g_lo = ref (Vec.init m (fun i -> if i = target then 1.0 else 0.0)) in
+   the backward pass runs in interval arithmetic, from the target
+   one-hot through [steps], with each unstable ReLU contributing the
+   mask interval [0, 1].  Returns per-input magnitude upper bounds on
+   |dN_target/dx_i| over the region. *)
+let gradient_bounds steps ~output_dim ~target =
+  let g_lo = ref (Vec.init output_dim (fun i -> if i = target then 1.0 else 0.0)) in
   let g_hi = ref (Vec.copy !g_lo) in
   List.iter
     (fun step ->
       match step with
-      | `Affine w ->
+      | Linear w ->
           (* [W^T g]: scalar-by-interval products summed per column. *)
           let n = w.Mat.cols in
           let lo = Vec.zeros n and hi = Vec.zeros n in
@@ -97,7 +104,7 @@ let gradient_interval net region ~target =
           done;
           g_lo := lo;
           g_hi := hi
-      | `Relu masks ->
+      | Relu_mask masks ->
           let n = Array.length masks in
           let lo = Vec.zeros n and hi = Vec.zeros n in
           for i = 0 to n - 1 do
@@ -113,17 +120,22 @@ let gradient_interval net region ~target =
           done;
           g_lo := lo;
           g_hi := hi)
-    (List.rev steps);
-  Vec.init (Box.dim region) (fun i ->
+    steps;
+  Vec.init (Vec.dim !g_lo) (fun i ->
       Float.max (abs_float !g_lo.(i)) (abs_float !g_hi.(i)))
+
+let gradient_interval net region ~target =
+  let steps, _ = forward net region in
+  gradient_bounds steps ~output_dim:net.Nn.Network.output_dim ~target
 
 (* ReluVal's smear split heuristic: the input dimension with the
    largest |gradient| * width product — gradient bounds over the whole
    region by default, or the cheaper point gradient at the center. *)
-let smear_dim config net region ~target =
+let smear_dim config net region steps ~target =
   let g =
     match config.smear with
-    | Gradient_interval -> gradient_interval net region ~target
+    | Gradient_interval ->
+        gradient_bounds steps ~output_dim:net.Nn.Network.output_dim ~target
     | Point_gradient ->
         Vec.map abs_float
           (Nn.Grad.grad_output net ~x:(Box.center region) ~k:target)
@@ -162,8 +174,9 @@ let run ?(config = default_config) ?(budget = Common.Budget.unlimited ()) net
             incr regions;
             max_depth := Stdlib.max !max_depth depth;
             Common.Budget.spend budget 1;
+            let steps, out = forward net region in
             let split_region () =
-              let d = smear_dim config net region ~target in
+              let d = smear_dim config net region steps ~target in
               if Box.width region d <= 0.0 then Common.Outcome.Timeout
               else begin
                 let center = Box.center region in
@@ -171,7 +184,7 @@ let run ?(config = default_config) ?(budget = Common.Budget.unlimited ()) net
                 loop ((a, depth + 1) :: (b, depth + 1) :: rest)
               end
             in
-            match analyze_region net region ~target with
+            match analyze_region out ~target with
             | Proved -> loop rest
             | Violated ->
                 let witness = Box.center region in
@@ -189,5 +202,3 @@ let run ?(config = default_config) ?(budget = Common.Budget.unlimited ()) net
   with
   | outcome -> finish outcome
   | exception Failure _ -> finish Common.Outcome.Unknown
-
-module Symbolic_interval = Symbolic_interval

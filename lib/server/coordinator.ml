@@ -96,17 +96,9 @@ type result = { outcome : Common.Outcome.t; elapsed : float; stats : stats }
    shard depths uniform, and canonical cuts keep every shard's
    subregions on the partition a single-process cached run uses. *)
 
-let widest_dim box =
-  let dims = Domains.Box.dim box in
-  let best = ref 0 in
-  for d = 1 to dims - 1 do
-    if Domains.Box.width box d > Domains.Box.width box !best then best := d
-  done;
-  !best
-
 let initial_partition box ~target =
   let split_one (b, depth) =
-    let dim = widest_dim b in
+    let dim = Domains.Box.longest_dim b in
     if Domains.Box.width b dim <= 0.0 then [ (b, depth) ]
     else
       let at = Domains.Partition.snap_split b ~dim in

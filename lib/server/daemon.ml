@@ -22,10 +22,11 @@
    A hello is also accepted (never required) on the Unix socket, so a
    client that always greets works on both transports.
 
-   Lifecycle: [serve] blocks until a shutdown request arrives, then
+   Lifecycle: [start] binds the listeners and runs the accept loop on a
+   spawned domain until a shutdown request arrives; the loop then
    drains the scheduler (cancelling all pending work), closes and
-   unlinks the sockets, and returns.  [start]/[stop] wrap the same loop
-   in a spawned domain for in-process embedding (tests, notably). *)
+   unlinks the sockets, and its domain ends.  [wait] joins it; [stop]
+   asks for the shutdown itself first. *)
 
 module J = Telemetry.Jsonw
 
@@ -277,8 +278,7 @@ let accept_loop sched ~tenants ~max_line ~stop_flag listeners =
   in
   loop ()
 
-let run_until_shutdown ?socket ?(stop_flag = Atomic.make false) sched ~tenants
-    ~max_line listeners =
+let run_until_shutdown ?socket ~stop_flag sched ~tenants ~max_line listeners =
   (* A client that disconnects mid-write must not kill the daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
@@ -292,11 +292,6 @@ let run_until_shutdown ?socket ?(stop_flag = Atomic.make false) sched ~tenants
       | Some path when Sys.file_exists path -> Sys.remove path
       | Some _ | None -> ())
     (fun () -> accept_loop sched ~tenants ~max_line ~stop_flag listeners)
-
-let make_scheduler ?(workers = 4) ?(cache_capacity = 256) ?proofcache_capacity
-    ?proofcache_persist ?store_path ?queue_capacity ~tenants () =
-  Scheduler.create ~workers ~cache_capacity ?proofcache_capacity
-    ?proofcache_persist ?store_path ?queue_capacity ~tenants ()
 
 let make_listeners ?socket ?tcp () =
   let unix_l =
@@ -313,19 +308,6 @@ let make_listeners ?socket ?tcp () =
   | [] -> invalid_arg "Daemon: need a Unix socket path or a TCP endpoint"
   | listeners -> (listeners, bound_port)
 
-let serve ?socket ?tcp ?workers ?cache_capacity ?proofcache_capacity
-    ?proofcache_persist ?store_path ?queue_capacity
-    ?(tenants = Tenant.empty) ?(max_line = default_max_line) () =
-  (* The daemon's whole point is serving live counters (cache hit
-     rate, queue depth) back to clients, so metrics are always on. *)
-  if not (Telemetry.enabled ()) then Telemetry.enable ();
-  let listeners, _ = make_listeners ?socket ?tcp () in
-  let sched =
-    make_scheduler ?workers ?cache_capacity ?proofcache_capacity
-      ?proofcache_persist ?store_path ?queue_capacity ~tenants ()
-  in
-  run_until_shutdown ?socket sched ~tenants ~max_line listeners
-
 type handle = {
   socket : string option;
   port : int option;
@@ -337,12 +319,14 @@ type handle = {
 let start ?socket ?tcp ?workers ?cache_capacity ?proofcache_capacity
     ?proofcache_persist ?store_path ?queue_capacity
     ?(tenants = Tenant.empty) ?(max_line = default_max_line) () =
+  (* The daemon's whole point is serving live counters (cache hit
+     rate, queue depth) back to clients, so metrics are always on. *)
   if not (Telemetry.enabled ()) then Telemetry.enable ();
   (* Bind synchronously so a client may connect the moment [start]
      returns; only the accept loop moves to the spawned domain. *)
   let listeners, port = make_listeners ?socket ?tcp () in
   let sched =
-    make_scheduler ?workers ?cache_capacity ?proofcache_capacity
+    Scheduler.create ?workers ?cache_capacity ?proofcache_capacity
       ?proofcache_persist ?store_path ?queue_capacity ~tenants ()
   in
   let stop_flag = Atomic.make false in
@@ -355,6 +339,8 @@ let start ?socket ?tcp ?workers ?cache_capacity ?proofcache_capacity
           run_until_shutdown ?socket ~stop_flag sched ~tenants ~max_line
             listeners);
   }
+
+let wait handle = Domain.join handle.loop
 
 let stop handle =
   let addr =
@@ -375,7 +361,7 @@ let stop handle =
       (* Already stopping or stopped; joining below is still correct
          because the loop domain exits on its own shutdown path. *)
       ());
-  Domain.join handle.loop
+  wait handle
 
 let socket_path handle = handle.socket
 

@@ -12,36 +12,9 @@
     receive/send timeout and a line-length bound, so a slow, stalled or
     hostile peer cannot wedge the accept loop or balloon its memory.
 
-    Both entry points force telemetry metrics on — live counters
-    (cache hit rate, queue depth, per-job wall times) are part of the
-    service's responses. *)
-
-val serve :
-  ?socket:string ->
-  ?tcp:string * int ->
-  ?workers:int ->
-  ?cache_capacity:int ->
-  ?proofcache_capacity:int ->
-  ?proofcache_persist:string ->
-  ?store_path:string ->
-  ?queue_capacity:int ->
-  ?tenants:Tenant.t ->
-  ?max_line:int ->
-  unit ->
-  unit
-(** Bind [socket] (replacing a stale socket file) and/or [tcp] (a
-    [(host, port)] endpoint; port 0 binds an ephemeral port), serve
-    requests, and block until a shutdown request arrives; then cancel
-    all pending jobs, join every worker domain, close and unlink the
-    sockets.  [workers] defaults to 4, [cache_capacity] to 256.
-    [proofcache_capacity] / [proofcache_persist] configure the
-    scheduler-wide subregion proof cache, [store_path] the persistent
-    verdict store, [queue_capacity] the bounded fair-share run queue
-    (see {!Scheduler.create}).  [tenants] is the API-key registry
-    ({!Tenant.load}); [max_line] (default 8 MiB) bounds a request
-    line.
-    @raise Invalid_argument when neither [socket] nor [tcp] is
-    given. *)
+    {!start} forces telemetry metrics on — live counters (cache hit
+    rate, queue depth, per-job wall times) are part of the service's
+    responses. *)
 
 type handle
 
@@ -58,9 +31,24 @@ val start :
   ?max_line:int ->
   unit ->
   handle
-(** In-process variant for tests and embedding: binds synchronously —
-    clients may connect as soon as [start] returns — and runs the
-    accept loop on a spawned domain. *)
+(** Bind [socket] (replacing a stale socket file) and/or [tcp] (a
+    [(host, port)] endpoint; port 0 binds an ephemeral port, see
+    {!tcp_port}) synchronously — clients may connect as soon as [start]
+    returns — and run the accept loop on a spawned domain until a
+    shutdown request arrives; then cancel all pending jobs, join every
+    worker domain, close and unlink the sockets.  [workers],
+    [cache_capacity], [proofcache_capacity] / [proofcache_persist] (the
+    scheduler-wide subregion proof cache), [store_path] (the persistent
+    verdict store) and [queue_capacity] (the bounded fair-share run
+    queue) go to {!Scheduler.create}, which documents their defaults.
+    [tenants] is the API-key registry ({!Tenant.load}); [max_line]
+    (default 8 MiB) bounds a request line.
+    @raise Invalid_argument when neither [socket] nor [tcp] is
+    given. *)
+
+val wait : handle -> unit
+(** Block until the accept loop has shut down (a shutdown request, or
+    {!stop}) and join its domain. *)
 
 val stop : handle -> unit
 (** Send a shutdown request and join the loop domain.  After [stop]

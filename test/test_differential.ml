@@ -74,39 +74,50 @@ let oracle_domains =
     Domain.powerset Domain.Interval_base 2;
     Domain.powerset Domain.Zonotope_base 2 ]
 
+let enclose_concrete rng net box ~k =
+  let samples =
+    List.init 50 (fun _ -> Nn.Network.eval net (Box.sample rng box))
+  in
+  List.iter
+    (fun spec ->
+      let bounds = Absint.Analyzer.output_bounds net box spec in
+      let margin = Absint.Analyzer.margin_lower net box ~k spec in
+      List.iter
+        (fun y ->
+          Array.iteri
+            (fun j (lo, hi) ->
+              if y.(j) < lo -. margin_tol || y.(j) > hi +. margin_tol then
+                Alcotest.failf "%s: output %d = %.17g escapes [%.17g, %.17g]"
+                  (Domain.to_string spec) j y.(j) lo hi)
+            bounds;
+          let concrete =
+            let worst = ref infinity in
+            Array.iteri
+              (fun j s -> if j <> k then worst := min !worst (y.(k) -. s))
+              y;
+            !worst
+          in
+          if margin > concrete +. margin_tol then
+            Alcotest.failf "%s: margin bound %.17g beats concrete %.17g"
+              (Domain.to_string spec) margin concrete)
+        samples)
+    oracle_domains
+
 let test_domains_enclose_concrete () =
   Util.repeat ~seed:31_341 ~count:20 (fun rng _i ->
       let net = Util.small_net rng in
       let box = Util.small_box rng net.Nn.Network.input_dim in
       let k = Rng.int rng net.Nn.Network.output_dim in
-      let samples =
-        List.init 50 (fun _ -> Nn.Network.eval net (Box.sample rng box))
-      in
-      List.iter
-        (fun spec ->
-          let bounds = Absint.Analyzer.output_bounds net box spec in
-          let margin = Absint.Analyzer.margin_lower net box ~k spec in
-          List.iter
-            (fun y ->
-              Array.iteri
-                (fun j (lo, hi) ->
-                  if y.(j) < lo -. margin_tol || y.(j) > hi +. margin_tol then
-                    Alcotest.failf
-                      "%s: output %d = %.17g escapes [%.17g, %.17g]"
-                      (Domain.to_string spec) j y.(j) lo hi)
-                bounds;
-              let concrete =
-                let worst = ref infinity in
-                Array.iteri
-                  (fun j s -> if j <> k then worst := min !worst (y.(k) -. s))
-                  y;
-                !worst
-              in
-              if margin > concrete +. margin_tol then
-                Alcotest.failf "%s: margin bound %.17g beats concrete %.17g"
-                  (Domain.to_string spec) margin concrete)
-            samples)
-        oracle_domains)
+      enclose_concrete rng net box ~k);
+  (* A LeNet with average pooling, so every domain also runs the
+     analyzer's conv and avgpool lowering.  The box is small so the
+     bounds are tight enough to catch a wrong lowering. *)
+  Util.repeat ~seed:31_342 ~count:3 (fun rng _i ->
+      let input = Nn.Shape.create ~channels:1 ~height:4 ~width:4 in
+      let net = Nn.Init.lenet_like ~pooling:`Avg rng ~input ~classes:3 in
+      let center = Vec.init 16 (fun _ -> Rng.float rng 1.0) in
+      enclose_concrete rng net (Box.of_center_radius center 0.01)
+        ~k:(Rng.int rng 3))
 
 (* ------------------------------------------------------------------ *)
 (* Powerset at one disjunct degenerates to the base domain.

@@ -372,6 +372,33 @@ let test_powerset_separation_on_ex23 () =
 let test_symbolic_soundness () =
   soundness_check (module Symbolic) ~seed:73 ~count:25 ()
 
+let test_symbolic_identity_on_inputs () =
+  let box = Box.create ~lo:[| -1.0; 0.5 |] ~hi:[| 2.0; 0.75 |] in
+  let s = Symbolic.of_box box in
+  Alcotest.(check (pair (float 1e-12) (float 1e-12))) "input 0" (-1.0, 2.0)
+    (Symbolic.bounds s 0);
+  Alcotest.(check (pair (float 1e-12) (float 1e-12))) "input 1" (0.5, 0.75)
+    (Symbolic.bounds s 1)
+
+let test_symbolic_affine_exact () =
+  (* One affine layer: symbolic bounds are exact (match corner sweep). *)
+  Util.repeat ~seed:120 (fun rng _ ->
+      let box = Util.small_box rng 2 in
+      let w = Mat.init 2 2 (fun _ _ -> Rng.gaussian rng) in
+      let b = Vec.init 2 (fun _ -> Rng.gaussian rng) in
+      let s = Symbolic.affine w b (Symbolic.of_box box) in
+      for i = 0 to 1 do
+        let lo, hi = Symbolic.bounds s i in
+        let best_lo = ref infinity and best_hi = ref neg_infinity in
+        for mask = 0 to 3 do
+          let y = Vec.add (Mat.matvec w (Box.corner box mask)) b in
+          best_lo := Stdlib.min !best_lo y.(i);
+          best_hi := Stdlib.max !best_hi y.(i)
+        done;
+        Util.check_close ~eps:1e-8 "exact lo" !best_lo lo;
+        Util.check_close ~eps:1e-8 "exact hi" !best_hi hi
+      done)
+
 let test_symbolic_tracks_correlation () =
   let box = unit_box 1 in
   let w = Mat.of_rows [| [| 1.0 |]; [| 1.0 |] |] in
@@ -473,6 +500,8 @@ let () =
       ( "symbolic",
         [
           Util.case "sound on random nets" test_symbolic_soundness;
+          Util.case "identity on inputs" test_symbolic_identity_on_inputs;
+          Util.case "affine exact" test_symbolic_affine_exact;
           Util.case "tracks correlations" test_symbolic_tracks_correlation;
           Util.case "proves example 2.2" test_symbolic_proves_example_2_2;
           Util.case "maxpool fallback sound" test_symbolic_maxpool_fallback_sound;
