@@ -7,7 +7,16 @@
 val vjp : Network.t -> x:Linalg.Vec.t -> dout:Linalg.Vec.t -> Linalg.Vec.t
 (** [vjp n ~x ~dout] is the vector-Jacobian product
     [dout^T . J_N(x)], i.e. the gradient of [dout . N(x)] with respect
-    to [x]. *)
+    to [x]: {!backward} over [Network.forward_trace n x]. *)
+
+val backward :
+  Network.t -> trace:Linalg.Vec.t array -> dout:Linalg.Vec.t -> Linalg.Vec.t
+(** The backward pass alone: [backward n ~trace ~dout] is
+    [vjp n ~x ~dout] for the point [x] whose forward pass
+    [trace = Network.forward_trace n x] recorded, without running that
+    pass again.
+    @raise Invalid_argument if [trace] does not have
+    [Network.num_layers n + 1] entries. *)
 
 val grad_output : Network.t -> x:Linalg.Vec.t -> k:int -> Linalg.Vec.t
 (** Gradient of the single output score [N(x)_k]. *)

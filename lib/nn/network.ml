@@ -29,11 +29,11 @@ let classify t x = Vec.argmax (eval t x)
 let forward_trace t x =
   if Vec.dim x <> t.input_dim then
     invalid_arg "Network.forward_trace: input dimension mismatch";
-  let rec go acc x = function
-    | [] -> List.rev (x :: acc)
-    | layer :: rest -> go (x :: acc) (Layer.forward layer x) rest
-  in
-  Array.of_list (go [] x t.layers)
+  let trace = Array.make (List.length t.layers + 1) x in
+  List.iteri
+    (fun i layer -> trace.(i + 1) <- Layer.forward layer trace.(i))
+    t.layers;
+  trace
 
 let num_layers t = List.length t.layers
 

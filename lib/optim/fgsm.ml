@@ -6,7 +6,7 @@ let c_calls = Telemetry.Metrics.counter "optim.fgsm.calls"
 let attack obj region ~from =
   Telemetry.Metrics.incr c_calls;
   let x0 = Box.clamp region from in
-  let g = Objective.grad obj x0 in
+  let g = Objective.gradient obj (Objective.eval obj x0) in
   (* Move each coordinate to the face that decreases F: against the
      gradient sign.  Coordinates with zero gradient stay put. *)
   let x =

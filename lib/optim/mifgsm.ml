@@ -11,30 +11,31 @@ let c_calls = Telemetry.Metrics.counter "optim.mifgsm.calls"
 
 let attack ?(config = default_config) obj region ~from =
   Telemetry.Metrics.incr c_calls;
-  let x = ref (Box.clamp region from) in
-  let best_x = ref !x in
-  let best_v = ref (Objective.value obj !x) in
+  let p = ref (Objective.eval obj (Box.clamp region from)) in
+  let best_x = ref !p.Objective.x in
+  let best_v = ref !p.Objective.value in
   let accum = Vec.zeros (Box.dim region) in
   let step = config.step_scale *. Box.mean_width region in
   for _ = 1 to config.steps do
-    let g = Objective.grad obj !x in
+    let g = Objective.gradient obj !p in
     let n1 = norm1 g in
     if n1 > 1e-12 then begin
       (* accum <- mu * accum + g / |g|_1, the MI-FGSM update. *)
       Array.iteri
         (fun i gi -> accum.(i) <- (config.momentum *. accum.(i)) +. (gi /. n1))
         g;
+      let x = !p.Objective.x in
       let next =
-        Box.clamp region
-          (Vec.init (Vec.dim !x) (fun i ->
-               (* descend: move against the accumulated direction *)
-               !x.(i) -. (step *. Float.of_int (Float.compare accum.(i) 0.0))))
+        Objective.eval obj
+          (Box.clamp region
+             (Vec.init (Vec.dim x) (fun i ->
+                  (* descend: move against the accumulated direction *)
+                  x.(i) -. (step *. Float.of_int (Float.compare accum.(i) 0.0)))))
       in
-      x := next;
-      let v = Objective.value obj next in
-      if v < !best_v then begin
-        best_v := v;
-        best_x := next
+      p := next;
+      if next.Objective.value < !best_v then begin
+        best_v := next.Objective.value;
+        best_x := next.Objective.x
       end
     end
   done;

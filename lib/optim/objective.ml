@@ -12,6 +12,13 @@ let network t = t.net
 
 let target_class t = t.k
 
+type point = {
+  x : Vec.t;
+  trace : Vec.t array;
+  value : float;
+  runner_up : int;
+}
+
 let runner_up t scores =
   let best = ref (if t.k = 0 then 1 else 0) in
   Array.iteri
@@ -19,21 +26,24 @@ let runner_up t scores =
     scores;
   !best
 
-let value t x =
-  let scores = Nn.Network.eval t.net x in
-  scores.(t.k) -. scores.(runner_up t scores)
+let eval t x =
+  let trace = Nn.Network.forward_trace t.net x in
+  let scores = trace.(Array.length trace - 1) in
+  let j = runner_up t scores in
+  { x; trace; value = scores.(t.k) -. scores.(j); runner_up = j }
+
+let gradient t p =
+  let dout =
+    Vec.init t.net.Nn.Network.output_dim (fun i ->
+        if i = t.k then 1.0 else if i = p.runner_up then -1.0 else 0.0)
+  in
+  Nn.Grad.backward t.net ~trace:p.trace ~dout
+
+let value t x = (eval t x).value
 
 let value_grad t x =
-  let scores = Nn.Network.eval t.net x in
-  let j = runner_up t scores in
-  let v = scores.(t.k) -. scores.(j) in
-  let dout =
-    Vec.init (Vec.dim scores) (fun i ->
-        if i = t.k then 1.0 else if i = j then -1.0 else 0.0)
-  in
-  (v, Nn.Grad.vjp t.net ~x ~dout)
-
-let grad t x = snd (value_grad t x)
+  let p = eval t x in
+  (p.value, gradient t p)
 
 let is_counterexample t x = value t x <= 0.0
 

@@ -17,30 +17,46 @@ let c_steps = Telemetry.Metrics.counter "optim.pgd.steps"
 
 let c_restarts = Telemetry.Metrics.counter "optim.pgd.restarts"
 
+(* The projected step [clamp region (x - s g)] in one pass.  The product
+   goes through [y.(i)] so that it is rounded before the subtraction, as
+   in a separate scaling pass: a backend that fuses [a -. b *. c] into
+   one multiply-subtract (arm64) would otherwise round once, and move
+   every later iterate. *)
+let step_into region x g s =
+  let lo = region.Box.lo and hi = region.Box.hi in
+  let y = Array.create_float (Vec.dim x) in
+  for i = 0 to Vec.dim x - 1 do
+    y.(i) <- s *. g.(i);
+    let v = x.(i) -. y.(i) in
+    y.(i) <- (if v < lo.(i) then lo.(i) else if v > hi.(i) then hi.(i) else v)
+  done;
+  y
+
 let run_from ~config obj region x0 =
   let base_step = config.step_scale *. Box.mean_width region in
-  let best_x = ref (Box.clamp region x0) in
-  let best_v = ref (Objective.value obj !best_x) in
-  let x = ref !best_x in
+  (* [p] is the current iterate, evaluated once: its value is compared
+     with the best so far, and its trace gives the next gradient. *)
+  let p = ref (Objective.eval obj (Box.clamp region x0)) in
+  let best_x = ref !p.Objective.x in
+  let best_v = ref !p.Objective.value in
   let stop = ref false in
   let step = ref 0 in
   while (not !stop) && !step < config.steps do
     incr step;
-    let _, g = Objective.value_grad obj !x in
+    let g = Objective.gradient obj !p in
     let gnorm = Vec.norm2 g in
     if gnorm <= 1e-12 then stop := true
     else begin
       (* Diminishing step: eta_t = base / sqrt(t), normalized gradient. *)
       let eta = base_step /. sqrt (float_of_int !step) in
       let next =
-        Box.clamp region (Vec.sub !x (Vec.scale (eta /. gnorm) g))
+        Objective.eval obj (step_into region !p.Objective.x g (eta /. gnorm))
       in
-      let v = Objective.value obj next in
-      if v < !best_v then begin
-        best_v := v;
-        best_x := next
+      if next.Objective.value < !best_v then begin
+        best_v := next.Objective.value;
+        best_x := next.Objective.x
       end;
-      x := next;
+      p := next;
       match config.early_stop with
       | Some threshold when !best_v <= threshold -> stop := true
       | Some _ | None -> ()

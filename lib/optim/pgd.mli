@@ -4,7 +4,12 @@
     Minimises the adversarial objective with a diminishing step schedule
     and several random restarts, projecting back into the region after
     every step.  PGD is exactly the method named in §3; FGSM lives in
-    {!Fgsm}. *)
+    {!Fgsm}.
+
+    Cost: a restart that takes [s] gradient steps runs the network
+    forward [1 + s] times and backward [s] times.  Each iterate is
+    evaluated once ({!Objective.eval}); that one forward pass serves both
+    the best-value check and the next step's gradient. *)
 
 type config = {
   steps : int;  (** gradient steps per restart *)

@@ -175,21 +175,27 @@ let run ?(config = default_config) ?(budget = Common.Budget.unlimited ()) net
             max_depth := Stdlib.max !max_depth depth;
             Common.Budget.spend budget 1;
             let steps, out = forward net region in
+            let center = Box.center region in
+            let refutes () =
+              Optim.Objective.value objective center <= config.delta
+            in
             let split_region () =
               let d = smear_dim config net region steps ~target in
-              if Box.width region d <= 0.0 then Common.Outcome.Timeout
-              else begin
-                let center = Box.center region in
+              if Box.width region d > 0.0 then begin
                 let a, b = Box.split region ~dim:d ~at:center.(d) in
                 loop ((a, depth + 1) :: (b, depth + 1) :: rest)
               end
+              else if
+                (* A point region cannot be split: its centre decides
+                   it, or nothing does. *)
+                refutes ()
+              then Common.Outcome.Refuted center
+              else Common.Outcome.Unknown
             in
             match analyze_region out ~target with
             | Proved -> loop rest
             | Violated ->
-                let witness = Box.center region in
-                if Optim.Objective.value objective witness <= config.delta
-                then Common.Outcome.Refuted witness
+                if refutes () then Common.Outcome.Refuted center
                 else
                   (* Numeric corner: the symbolic bound says the whole
                      region violates but the center check disagreed.

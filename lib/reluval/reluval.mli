@@ -58,5 +58,7 @@ val run :
   Common.Property.t ->
   report
 (** Decide the property by bisection-based abstraction refinement.
-    Returns [Unknown] for networks with unsupported (max-pooling)
-    layers. *)
+    A region that needs splitting but has zero width in every dimension
+    is decided by its centre: [Refuted] when the centre is a
+    δ-counterexample, [Unknown] otherwise.  Returns [Unknown] for
+    networks with unsupported (max-pooling) layers. *)

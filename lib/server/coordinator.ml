@@ -248,14 +248,7 @@ let run ~worker_cmd ?config (spec : Protocol.job_spec) =
    with Invalid_argument _ -> ());
   let started = Unix.gettimeofday () in
   let mb = mb_create () in
-  let stop_timer = Atomic.make false in
-  let timer =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop_timer) do
-          Unix.sleepf 0.05;
-          mb_push mb Tick
-        done)
-  in
+  let timer = Ticker.start ~period:0.05 (fun () -> mb_push mb Tick) in
   (* --- main-loop state (single domain, never shared) --- *)
   let split_target =
     if cfg.initial_splits > 0 then cfg.initial_splits else 4 * cfg.workers
@@ -573,11 +566,11 @@ let run ~worker_cmd ?config (spec : Protocol.job_spec) =
         drain ()
   in
   let cleanup () =
-    Atomic.set stop_timer true;
-    (* Readers exit on their worker's EOF; all workers are Gone by now,
-       so the joins return promptly. *)
-    Hashtbl.iter (fun _ w -> Domain.join w.reader) workers;
-    Domain.join timer
+    (* The ticker stops mid-period, so the verdict is not held back by
+       up to one tick.  Readers exit on their worker's EOF; all workers
+       are Gone by now, so the joins return promptly. *)
+    Ticker.stop timer;
+    Hashtbl.iter (fun _ w -> Domain.join w.reader) workers
   in
   match
     loop ();

@@ -294,15 +294,37 @@ let run_until_shutdown ?socket ~stop_flag sched ~tenants ~max_line listeners =
     (fun () -> accept_loop sched ~tenants ~max_line ~stop_flag listeners)
 
 let make_listeners ?socket ?tcp () =
+  let cannot_listen where err =
+    failwith
+      (Printf.sprintf "cannot listen on %s: %s" where (Unix.error_message err))
+  in
   let unix_l =
-    Option.map (fun path -> { lfd = bind_socket path; trusted = true }) socket
+    Option.map
+      (fun path ->
+        match bind_socket path with
+        | fd -> { lfd = fd; trusted = true }
+        | exception Unix.Unix_error (err, _, _) -> cannot_listen path err)
+      socket
   in
   let tcp_l, bound_port =
     match tcp with
     | None -> (None, None)
-    | Some (host, port) ->
-        let fd, bound = bind_tcp ~host ~port in
-        (Some { lfd = fd; trusted = false }, Some bound)
+    | Some (host, port) -> (
+        match bind_tcp ~host ~port with
+        | fd, bound -> (Some { lfd = fd; trusted = false }, Some bound)
+        | exception e -> (
+            (* Leave nothing behind: close and unlink the Unix socket
+               this start-up already bound. *)
+            Option.iter
+              (fun l -> try Unix.close l.lfd with Unix.Unix_error _ -> ())
+              unix_l;
+            Option.iter
+              (fun path -> try Sys.remove path with Sys_error _ -> ())
+              socket;
+            match e with
+            | Unix.Unix_error (err, _, _) ->
+                cannot_listen (Printf.sprintf "%s:%d" host port) err
+            | e -> raise e))
   in
   match List.filter_map Fun.id [ unix_l; tcp_l ] with
   | [] -> invalid_arg "Daemon: need a Unix socket path or a TCP endpoint"

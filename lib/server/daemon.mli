@@ -44,7 +44,9 @@ val start :
     [tenants] is the API-key registry ({!Tenant.load}); [max_line]
     (default 8 MiB) bounds a request line.
     @raise Invalid_argument when neither [socket] nor [tcp] is
-    given. *)
+    given.
+    @raise Failure ["cannot listen on WHERE: REASON"] when a bind
+    fails (say, a TCP port already in use); nothing stays bound. *)
 
 val wait : handle -> unit
 (** Block until the accept loop has shut down (a shutdown request, or

@@ -273,13 +273,16 @@ let test_refuted_matches_oracle () =
   | o -> Alcotest.failf "expected falsified, got %s" (outcome_label o)
 
 let test_crash_recovery () =
-  (* Worker 0 SIGKILLs itself on receiving its second split, leaving
-     that split outstanding.  The verdict must still be Verified — i.e.
-     the coordinator re-dealt the dead worker's split — and the death
-     and reassignment must show in the stats. *)
+  (* Worker 0 SIGKILLs itself on receiving its first split, leaving
+     that split outstanding.  It asks for work as soon as it has said
+     hello, while all the initial splits are still queued, so the crash
+     happens on every run however fast the shards are.  The verdict
+     must still be Verified — i.e. the coordinator re-dealt the dead
+     worker's split — and the death and reassignment must show in the
+     stats. *)
   let dim = 6 in
   let r =
-    dverify ~crash_injection:(0, 1) (staircase_spec ~timeout:120.0 dim)
+    dverify ~crash_injection:(0, 0) (staircase_spec ~timeout:120.0 dim)
   in
   check_outcome "verdict survives a SIGKILLed worker" Common.Outcome.Verified
     r.Server.Coordinator.outcome;
@@ -324,6 +327,31 @@ let test_escalation () =
   Util.check_true "budgets were escalated"
     (r.Server.Coordinator.stats.Server.Coordinator.escalated >= 1)
 
+(* The coordinator's timer: a stop must not wait out the period. *)
+let test_ticker_stops_mid_period () =
+  let ticks = Atomic.make 0 in
+  let t = Server.Ticker.start ~period:5.0 (fun () -> Atomic.incr ticks) in
+  let t0 = Unix.gettimeofday () in
+  Server.Ticker.stop t;
+  let took = Unix.gettimeofday () -. t0 in
+  Util.check_true
+    (Printf.sprintf "stop returned in %.3fs of a 5s period" took)
+    (took < 0.5);
+  Alcotest.(check int) "no tick before the period" 0 (Atomic.get ticks)
+
+let test_ticker_ticks () =
+  let ticks = Atomic.make 0 in
+  let t = Server.Ticker.start ~period:0.01 (fun () -> Atomic.incr ticks) in
+  let give_up = Unix.gettimeofday () +. 10.0 in
+  while Atomic.get ticks < 3 && Unix.gettimeofday () < give_up do
+    Unix.sleepf 0.005
+  done;
+  Server.Ticker.stop t;
+  Util.check_true "ticked" (Atomic.get ticks >= 3);
+  let after_stop = Atomic.get ticks in
+  Unix.sleepf 0.05;
+  Alcotest.(check int) "no tick after stop" after_stop (Atomic.get ticks)
+
 let () =
   Alcotest.run "dverify"
     [
@@ -341,6 +369,12 @@ let () =
             test_two_workers_match_oracle;
           Alcotest.test_case "refutation matches the oracle" `Slow
             test_refuted_matches_oracle;
+        ] );
+      ( "ticker",
+        [
+          Alcotest.test_case "stop interrupts the wait" `Quick
+            test_ticker_stops_mid_period;
+          Alcotest.test_case "ticks until stopped" `Quick test_ticker_ticks;
         ] );
       ( "resilience",
         [

@@ -270,8 +270,8 @@ let golden_expected =
     "point/11 verified regions=1 depth=0 -";
     "interval/12 verified regions=61 depth=13 -";
     "point/12 verified regions=51 depth=13 -";
-    "interval/13 timeout regions=1 depth=0 -";
-    "point/13 timeout regions=1 depth=0 -";
+    "interval/13 falsified regions=1 depth=0 1ccfef3e0668500dbfcf1cbda692504a";
+    "point/13 falsified regions=1 depth=0 1ccfef3e0668500dbfcf1cbda692504a";
     "interval/14 timeout regions=300 depth=51 -";
     "point/14 timeout regions=300 depth=46 -";
     "interval/15 verified regions=35 depth=7 -";

@@ -189,8 +189,11 @@ let test_verdicts_round_trip () =
 let test_cache_hit_on_repeat () =
   with_daemon (fun socket ->
       (* Large enough that the cold run costs real wall time, small
-         enough to stay far from the test deadline. *)
-      let spec = staircase_spec 5 in
+         enough to stay far from the test deadline.  The daemon's proof
+         cache makes the search cut canonically, so the staircase of
+         dimension d costs about 2^d regions: d = 10 is about 0.2 s on
+         a 2-vCPU VM, against a cache hit of well under a millisecond. *)
+      let spec = staircase_spec 10 in
       let id, first = submit socket spec in
       Util.check_true "cold submit misses" (not (jbool first [ "cache"; "hit" ]));
       let final = wait socket id in
@@ -580,6 +583,35 @@ let test_cancelled_run_keeps_newer_coalesce_key () =
       let c = Server.Scheduler.submit s spec in
       Util.check_true "C coalesces onto B" (jbool c [ "coalesced" ]))
 
+(* A second daemon on a live daemon's TCP port: a clear Failure, and
+   the Unix socket that start-up had already bound is closed and
+   removed again. *)
+let test_busy_port () =
+  let first = Server.Daemon.start ~tcp:("127.0.0.1", 0) ~workers:1 () in
+  Fun.protect
+    ~finally:(fun () -> Server.Daemon.stop first)
+    (fun () ->
+      let port =
+        match Server.Daemon.tcp_port first with
+        | Some p -> p
+        | None -> Alcotest.fail "daemon bound no TCP port"
+      in
+      let socket = fresh_socket () in
+      (match
+         Server.Daemon.start ~socket ~tcp:("127.0.0.1", port) ~workers:1 ()
+       with
+      | second ->
+          Server.Daemon.stop second;
+          Alcotest.fail "a second bind of a live port must fail"
+      | exception Failure msg ->
+          Alcotest.(check string) "message"
+            (Printf.sprintf "cannot listen on 127.0.0.1:%d: %s" port
+               (Unix.error_message Unix.EADDRINUSE))
+            msg);
+      Util.check_true "the bound Unix socket is removed again"
+        (not (Sys.file_exists socket));
+      check_ok (Server.Client.ping ~addr:(Server.Client.Tcp ("127.0.0.1", port)) ()))
+
 let () =
   Alcotest.run "server"
     [
@@ -597,5 +629,6 @@ let () =
           Util.case "shutdown cancels pending work" test_shutdown_cancels_pending;
           Util.case "a cancelled run keeps a newer run's coalescing"
             test_cancelled_run_keeps_newer_coalesce_key;
+          Util.case "a busy port fails cleanly" test_busy_port;
         ] );
     ]
