@@ -9,8 +9,8 @@
    reaches the same subregion) is sound.  Refutations, timeouts and
    unknowns are all run-relative and are never cached here.
 
-   The key digests the network weights (the Nn.Serial text, which
-   renders every float with %.17g and so round-trips bit-for-bit), the
+   The key digests the network (Nn.Serial.digest: its structure and
+   the IEEE bits of its weights, no float rendered as text), the
    target class, delta, and the bit-exact region bounds from
    Domains.Partition.key_of_box.  A changed network changes the digest
    and silently invalidates every entry — no epochs or flush calls.
@@ -39,7 +39,7 @@ let c_records = Telemetry.Metrics.counter "proofcache.records"
 
 let c_evictions = Telemetry.Metrics.counter "proofcache.evictions"
 
-let net_digest net = Digest.to_hex (Digest.string (Nn.Serial.to_string net))
+let net_digest net = Digest.to_hex (Nn.Serial.digest net)
 
 let key ~net_digest ~target ~delta ~(region : Domains.Box.t) =
   let buf = Buffer.create 128 in

@@ -31,9 +31,9 @@ val create : ?capacity:int -> ?persist:string -> unit -> t
     @raise Invalid_argument when [capacity < 1]. *)
 
 val net_digest : Nn.Network.t -> string
-(** Hex digest of the serialized weights ([Nn.Serial] renders floats
-    with [%.17g], so the digest is bit-faithful).  Compute once per run
-    and pass to [key]. *)
+(** Hex of {!Nn.Serial.digest}: the network's structure and the IEEE
+    bits of its weights, so two networks share it exactly when both
+    are equal.  Compute once per run and pass to [key]. *)
 
 val key :
   net_digest:string ->

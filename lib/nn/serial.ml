@@ -1,9 +1,9 @@
 open Linalg
 
-let add_floats buf a =
-  Array.iter (fun x -> Buffer.add_string buf (Printf.sprintf " %.17g" x)) a
-
-let to_string net =
+(* One walk over the network, shared by the text format and the digest:
+   the two differ only in how a float array is written.  Headers are
+   the same text in both. *)
+let render ~add_floats net =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (Printf.sprintf "network %d\n" net.Network.input_dim);
   List.iter
@@ -34,28 +34,42 @@ let to_string net =
       Buffer.add_char buf '\n')
     net.Network.layers;
   Buffer.add_string buf "end\n";
-  Buffer.contents buf
+  buf
 
-(* A simple cursor over whitespace-separated tokens; a cursor is local
-   to one [of_string] call on one domain. *)
-type cursor = { tokens : string array; mutable pos : int }
+let to_string net =
+  Buffer.contents
+    (render net ~add_floats:(fun buf a ->
+         Array.iter (fun x -> Buffer.add_string buf (Printf.sprintf " %.17g" x)) a))
+
+(* Each array is its length, then the IEEE bits of its entries, all
+   little-endian int64: fixed-width, so the encoding decodes back to
+   the structure and the bits, and two nets share a digest only when
+   both are equal. *)
+let digest net =
+  Digest.string
+    (Buffer.contents
+       (render net ~add_floats:(fun buf a ->
+            Buffer.add_int64_le buf (Int64.of_int (Array.length a));
+            Array.iter (fun x -> Buffer.add_int64_le buf (Int64.bits_of_float x)) a)))
+
+(* A cursor over the whitespace-separated tokens of the text, scanned
+   in place; a cursor is local to one [of_string] call on one
+   domain. *)
+type cursor = { text : string; mutable pos : int }
 [@@race.domain_local]
 
-let cursor_of_string s =
-  let tokens =
-    String.split_on_char '\n' s
-    |> List.concat_map (String.split_on_char ' ')
-    |> List.concat_map (String.split_on_char '\t')
-    |> List.filter (fun t -> t <> "")
-    |> Array.of_list
-  in
-  { tokens; pos = 0 }
+let is_space = function ' ' | '\t' | '\n' -> true | _ -> false
 
 let next c =
-  if c.pos >= Array.length c.tokens then failwith "Serial: unexpected end of input";
-  let t = c.tokens.(c.pos) in
-  c.pos <- c.pos + 1;
-  t
+  let s = c.text in
+  let n = String.length s in
+  let i = ref c.pos in
+  while !i < n && is_space s.[!i] do incr i done;
+  if !i >= n then failwith "Serial: unexpected end of input";
+  let start = !i in
+  while !i < n && not (is_space s.[!i]) do incr i done;
+  c.pos <- !i;
+  String.sub s start (!i - start)
 
 let next_int c =
   let t = next c in
@@ -82,7 +96,7 @@ let read_shape c =
   Shape.create ~channels ~height ~width
 
 let of_string s =
-  let c = cursor_of_string s in
+  let c = { text = s; pos = 0 } in
   expect c "network";
   let input_dim = next_int c in
   let rec layers acc =
@@ -92,8 +106,7 @@ let of_string s =
     | "affine" ->
         let rows = next_int c in
         let cols = next_int c in
-        let data = next_floats c (rows * cols) in
-        let w = Mat.init rows cols (fun i j -> data.((i * cols) + j)) in
+        let w = { Mat.rows; cols; data = next_floats c (rows * cols) } in
         let b = next_floats c rows in
         layers (Layer.affine w b :: acc)
     | "conv" ->

@@ -5,8 +5,10 @@
    metadata operation (enqueue, table lookup, counter snapshot) that
    completes in microseconds, while the heavy lifting happens on the
    scheduler's pool domains.  Clients therefore never wait on each
-   other's verifications, only on each other's JSON parsing — and the
-   listen backlog absorbs bursts.  What a single-threaded loop must
+   other's verifications, only on each request's fixed cost in this
+   loop: framing and parsing its line, and the verdict-cache key.  For
+   a submit carrying a 226 KB network that is about 2.5 ms on a 2-vCPU
+   host (4 ms at 456 KB) — and the listen backlog absorbs bursts.  What a single-threaded loop must
    defend is its own liveness against a slow or hostile peer, so every
    accepted connection gets a receive/send timeout (a stalled client
    costs at most [io_timeout] seconds, never a wedge) and a line-length

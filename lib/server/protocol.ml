@@ -53,23 +53,40 @@ let send oc (json : J.t) =
    document.  Distinguishing "clean EOF between messages" ([None])
    from "EOF mid-message" ([Torn_line]) is what lets clients exit
    non-zero on a torn response and lets the dverify coordinator treat
-   the tear as a worker death. *)
+   the tear as a worker death.
+
+   The line is taken one channel buffer at a time with the primitive
+   behind [Stdlib.input_line]: it fills the buffer and answers n > 0
+   when a '\n' ends the next n bytes, -n when the n buffered bytes hold
+   none (the buffer is full, or EOF follows them), and 0 at EOF with
+   nothing buffered.  Only the bytes up to the '\n' are consumed, so
+   the next line of a pipe stays in the channel. *)
+external scan_line : in_channel -> int = "caml_ml_input_scan_line"
+
 let recv ?(max_len = max_int) ic =
   let buf = Buffer.create 256 in
   let rec loop () =
-    match In_channel.input_char ic with
-    | Some '\n' -> Some (J.parse (Buffer.contents buf))
-    | Some c ->
-        Buffer.add_char buf c;
-        (* Refuse unbounded lines before buffering them: a peer
-           streaming garbage without a newline must cost at most
-           [max_len] bytes of memory, not the machine. *)
-        if Buffer.length buf > max_len then
-          raise (Oversized_line (Buffer.length buf));
-        loop ()
-    | None ->
-        if Buffer.length buf = 0 then None
-        else raise (Torn_line (Buffer.length buf))
+    let n = scan_line ic in
+    if n = 0 then begin
+      if Buffer.length buf = 0 then None
+      else raise (Torn_line (Buffer.length buf))
+    end
+    else begin
+      let ends = n > 0 in
+      let bytes = if ends then n - 1 else -n in
+      (* Refuse unbounded lines before buffering them: a peer
+         streaming garbage without a newline must cost at most
+         [max_len] bytes of memory plus one channel buffer, not the
+         machine. *)
+      let len = Buffer.length buf + bytes in
+      if len > max_len then raise (Oversized_line len);
+      Buffer.add_channel buf ic bytes;
+      if ends then begin
+        ignore (input_char ic);
+        Some (J.parse (Buffer.contents buf))
+      end
+      else loop ()
+    end
   in
   loop ()
 

@@ -36,8 +36,9 @@ exception Torn_line of int
     treats it as a worker death. *)
 
 exception Oversized_line of int
-(** A line exceeded the reader's [max_len] bound: that many bytes
-    arrived with no terminator.  The daemon answers with a
+(** A line exceeded the reader's [max_len] bound: the reader had seen
+    that many bytes of it (more than [max_len], at most one channel
+    buffer more) when it gave up.  The daemon answers with a
     code=["oversized"] reject and closes the connection. *)
 
 val send : out_channel -> J.t -> unit
@@ -47,7 +48,10 @@ val recv : ?max_len:int -> in_channel -> J.t option
 (** Read one line-framed document; [None] on clean EOF (the stream
     ended exactly on a message boundary).  [max_len] (default
     unbounded) caps the line length in bytes — the daemon's defence
-    against a peer streaming newline-free garbage.
+    against a peer streaming newline-free garbage: the line costs at
+    most [max_len] bytes plus one channel buffer.  The line is taken a
+    channel buffer at a time, and nothing past its ['\n'] is consumed,
+    so the next line stays in the channel.
     @raise Torn_line on EOF mid-message.
     @raise Oversized_line when a line exceeds [max_len].
     @raise J.Parse_error on malformed JSON. *)

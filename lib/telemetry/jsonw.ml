@@ -17,21 +17,27 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* Writer *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* Appends [s] JSON-escaped, copying each run of bytes that need no
+   escape in one [Buffer.add_substring]. *)
+let add_escaped buf s =
+  let n = String.length s in
+  let rec go start i =
+    if i = n then Buffer.add_substring buf s start (i - start)
+    else
+      match s.[i] with
+      | ('"' | '\\' | '\000' .. '\031') as c ->
+          Buffer.add_substring buf s start (i - start);
+          (match c with
+          | '"' -> Buffer.add_string buf "\\\""
+          | '\\' -> Buffer.add_string buf "\\\\"
+          | '\n' -> Buffer.add_string buf "\\n"
+          | '\r' -> Buffer.add_string buf "\\r"
+          | '\t' -> Buffer.add_string buf "\\t"
+          | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+          go (i + 1) (i + 1)
+      | _ -> go start (i + 1)
+  in
+  go 0 0
 
 (* JSON has no NaN/infinity literals; a non-finite measurement becomes
    null rather than corrupting the document. *)
@@ -48,7 +54,7 @@ let rec render buf = function
   | Float f -> Buffer.add_string buf (float_repr f)
   | Str s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      add_escaped buf s;
       Buffer.add_char buf '"'
   | Arr items ->
       Buffer.add_char buf '[';
@@ -144,30 +150,37 @@ let parse s =
     expect '"';
     let buf = Buffer.create 16 in
     let rec go () =
-      match next () with
-      | '"' -> Buffer.contents buf
-      | '\\' -> (
-          match next () with
-          | '"' -> Buffer.add_char buf '"'; go ()
-          | '\\' -> Buffer.add_char buf '\\'; go ()
-          | '/' -> Buffer.add_char buf '/'; go ()
-          | 'n' -> Buffer.add_char buf '\n'; go ()
-          | 'r' -> Buffer.add_char buf '\r'; go ()
-          | 't' -> Buffer.add_char buf '\t'; go ()
-          | 'b' -> Buffer.add_char buf '\b'; go ()
-          | 'f' -> Buffer.add_char buf '\012'; go ()
-          | 'u' ->
-              let hex = String.init 4 (fun _ -> next ()) in
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with Failure _ -> fail "bad \\u escape %S" hex
-              in
-              (* ASCII range only; anything above becomes '?' — traces
-                 and bench files never emit non-ASCII. *)
-              Buffer.add_char buf (if code < 0x80 then Char.chr code else '?');
-              go ()
-          | c -> fail "bad escape \\%C" c)
-      | c -> Buffer.add_char buf c; go ()
+      (* Copy the run of plain bytes up to the next quote or escape in
+         one piece. *)
+      let start = !pos in
+      while !pos < n && s.[!pos] <> '"' && s.[!pos] <> '\\' do
+        incr pos
+      done;
+      Buffer.add_substring buf s start (!pos - start);
+      if next () = '"' then Buffer.contents buf
+      else begin
+        (* The run stopped at a backslash. *)
+        (match next () with
+        | '"' -> Buffer.add_char buf '"'
+        | '\\' -> Buffer.add_char buf '\\'
+        | '/' -> Buffer.add_char buf '/'
+        | 'n' -> Buffer.add_char buf '\n'
+        | 'r' -> Buffer.add_char buf '\r'
+        | 't' -> Buffer.add_char buf '\t'
+        | 'b' -> Buffer.add_char buf '\b'
+        | 'f' -> Buffer.add_char buf '\012'
+        | 'u' ->
+            let hex = String.init 4 (fun _ -> next ()) in
+            let code =
+              try int_of_string ("0x" ^ hex)
+              with Failure _ -> fail "bad \\u escape %S" hex
+            in
+            (* ASCII range only; anything above becomes '?' — traces
+               and bench files never emit non-ASCII. *)
+            Buffer.add_char buf (if code < 0x80 then Char.chr code else '?')
+        | c -> fail "bad escape \\%C" c);
+        go ()
+      end
     in
     go ()
   in

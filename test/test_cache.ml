@@ -191,6 +191,57 @@ let test_proofcache_keys_separate_facts () =
     (not (String.equal k (mk_key (Nn.Init.example_2_3 ()) region)));
   Alcotest.(check string) "same fact, same key" k (mk_key xor_net region)
 
+(* The network digest sees structure and weight bits, nothing less:
+   a Serial round trip keeps it, and each edit below changes it. *)
+let test_net_digest_is_bit_exact () =
+  let digest = Charon.Proofcache.net_digest in
+  let differs msg x y = Util.check_true msg (not (String.equal (digest x) (digest y))) in
+  let affine f =
+    Nn.Layer.affine (Mat.init 2 2 f) (Vec.init 2 (fun i -> 0.5 *. float_of_int i))
+  in
+  let b_entry i j = if i = j then 0.0 else 0.75 in
+  let a = affine (fun i j -> float_of_int ((2 * i) + j) -. 1.0) in
+  let dense_with ?(b = affine b_entry) () =
+    Nn.Network.create ~input_dim:2 [ a; Nn.Layer.Relu; b ]
+  in
+  let dense = dense_with () in
+  let with_b_entry (r, c) v =
+    dense_with ~b:(affine (fun i j -> if (i, j) = (r, c) then v else b_entry i j)) ()
+  in
+  let input = Nn.Shape.create ~channels:1 ~height:4 ~width:4 in
+  let lenet = Nn.Init.lenet_like (Rng.create 5) ~input ~classes:2 in
+  List.iter
+    (fun net ->
+      Alcotest.(check string) "a Serial round trip keeps the digest" (digest net)
+        (digest (Nn.Serial.of_string (Nn.Serial.to_string net))))
+    [ dense; lenet ];
+  Alcotest.(check string) "equal bits, equal digests" (digest dense)
+    (digest (with_b_entry (0, 1) 0.75));
+  differs "one ULP" dense (with_b_entry (0, 1) (Float.succ 0.75));
+  differs "0.0 against -0.0" dense (with_b_entry (0, 0) (-0.0));
+  differs "two layers swapped" dense
+    (Nn.Network.create ~input_dim:2 [ affine b_entry; Nn.Layer.Relu; a ]);
+  let avgpool_for_maxpool = function
+    | Nn.Layer.Maxpool p ->
+        Nn.Layer.Avgpool
+          (Nn.Avgpool.create ~input:p.Nn.Pool.input ~kernel:p.Nn.Pool.kernel
+             ~stride:p.Nn.Pool.stride)
+    | l -> l
+  in
+  differs "maxpool against avgpool of the same shape" lenet
+    (Nn.Network.create ~input_dim:lenet.Nn.Network.input_dim
+       (List.map avgpool_for_maxpool lenet.Nn.Network.layers));
+  let conv ~stride ~padding =
+    Nn.Network.create ~input_dim:16
+      [
+        Nn.Layer.Conv
+          (Nn.Conv.create ~input ~out_channels:1 ~kernel:2 ~stride ~padding
+             ~weights:[| 1.0; -1.0; 0.5; 0.25 |] ~bias:[| 0.0 |]);
+      ]
+  in
+  differs "conv stride" (conv ~stride:1 ~padding:0) (conv ~stride:2 ~padding:0);
+  differs "conv padding" (conv ~stride:1 ~padding:0) (conv ~stride:1 ~padding:1)
+
 let test_proofcache_record_lookup_stats () =
   let c = Charon.Proofcache.create ~capacity:8 () in
   let region = Box.create ~lo:[| 0.0; 0.0 |] ~hi:[| 1.0; 1.0 |] in
@@ -393,6 +444,7 @@ let () =
         [
           Util.case "keys separate facts" test_proofcache_keys_separate_facts;
           Util.case "record/lookup/stats" test_proofcache_record_lookup_stats;
+          Util.case "net digest is bit-exact" test_net_digest_is_bit_exact;
           Util.case "persistence roundtrip"
             test_proofcache_persistence_roundtrip;
           Util.case "journal skips garbage" test_proofcache_journal_skips_garbage;

@@ -157,7 +157,9 @@ let wait_exit ?(timeout = 30.0) pid =
 (* ------------------------------------------------------------------ *)
 (* Framing: strict recv must tell a clean EOF from a torn message *)
 
-let recv_of_string s =
+(* Every [recv] outcome on a stream, in order, until EOF or an
+   exception, and how many bytes of the stream were consumed. *)
+let recv_outcomes ?max_len s =
   let path = Filename.temp_file "charon-recv" ".txt" in
   Out_channel.with_open_bin path (fun oc -> output_string oc s);
   let ic = open_in_bin path in
@@ -166,29 +168,51 @@ let recv_of_string s =
       close_in_noerr ic;
       Sys.remove path)
     (fun () ->
-      let first = Server.Protocol.recv ic in
-      let second =
-        match Server.Protocol.recv ic with
-        | None -> "eof"
-        | Some _ -> "msg"
+      let rec go acc =
+        match Server.Protocol.recv ?max_len ic with
+        | Some _ -> go ("msg" :: acc)
+        | None -> List.rev ("eof" :: acc)
         | exception Server.Protocol.Torn_line n ->
-            Printf.sprintf "torn:%d" n
+            List.rev (Printf.sprintf "torn:%d" n :: acc)
+        | exception Server.Protocol.Oversized_line n ->
+            let over = match max_len with Some m -> n > m | None -> false in
+            List.rev
+              ((if over then "oversized" else Printf.sprintf "oversized:%d" n)
+              :: acc)
       in
-      (first, second))
+      let outcomes = go [] in
+      (outcomes, pos_in ic))
+
+(* A JSON string document of exactly [len] bytes. *)
+let json_of_len len = "\"" ^ String.make (len - 2) 'x' ^ "\""
+
+let check_outcomes ?max_len msg expected s =
+  Alcotest.(check (list string)) msg expected (fst (recv_outcomes ?max_len s))
 
 let test_recv_framing () =
   (* A complete line followed by a clean EOF. *)
-  let first, second = recv_of_string "{\"ok\": true}\n" in
-  Util.check_true "first message parses" (Option.is_some first);
-  Alcotest.(check string) "clean EOF" "eof" second;
+  check_outcomes "clean EOF" [ "msg"; "eof" ] "{\"ok\": true}\n";
   (* A complete line followed by a torn one: the peer died mid-write. *)
   let tail = "{\"op\": \"pro" in
-  let first, second = recv_of_string ("{\"ok\": true}\n" ^ tail) in
-  Util.check_true "first message parses" (Option.is_some first);
-  Alcotest.(check string)
-    "torn tail detected"
-    (Printf.sprintf "torn:%d" (String.length tail))
-    second
+  check_outcomes "torn tail detected"
+    [ "msg"; Printf.sprintf "torn:%d" (String.length tail) ]
+    ("{\"ok\": true}\n" ^ tail);
+  (* Lines longer than one channel buffer (64 KB). *)
+  let big = json_of_len 200_000 in
+  check_outcomes "a long line, then a short one"
+    [ "msg"; "msg"; "eof" ]
+    (big ^ "\n{\"ok\": true}\n");
+  check_outcomes "a torn long tail" [ "msg"; "torn:200000" ]
+    ("{\"ok\": true}\n" ^ big);
+  let max_len = 100_000 in
+  check_outcomes ~max_len "a line of exactly max_len bytes" [ "msg"; "eof" ]
+    (json_of_len max_len ^ "\n");
+  check_outcomes ~max_len "one byte over max_len" [ "oversized" ]
+    (json_of_len (max_len + 1) ^ "\n");
+  let garbage = String.make 300_000 'x' in
+  let outcomes, consumed = recv_outcomes ~max_len garbage in
+  Alcotest.(check (list string)) "newline-free garbage" [ "oversized" ] outcomes;
+  Util.check_true "stops before EOF" (consumed < String.length garbage)
 
 (* ------------------------------------------------------------------ *)
 (* Handshake: version mismatches reject cleanly in both directions *)

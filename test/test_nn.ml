@@ -441,10 +441,63 @@ let test_serial_roundtrip_conv () =
   Util.check_vec ~eps:0.0 "conv roundtrip" (Nn.Network.eval net x)
     (Nn.Network.eval net' x)
 
+
+(* Dense, conv, maxpool and avgpool nets, plus a dense net whose
+   weights are floats the text must spell exactly. *)
+let serial_nets () =
+  let rng = Rng.create 45 in
+  let input = Nn.Shape.create ~channels:1 ~height:4 ~width:4 in
+  let edge =
+    [| 0.0; -0.0; 5e-324; Float.max_float; -1e300; 0.1; 1.0 +. epsilon_float;
+       Float.infinity; Float.neg_infinity |]
+  in
+  let conv =
+    Nn.Conv.create ~input ~out_channels:2 ~kernel:2 ~stride:2 ~padding:1
+      ~weights:(Vec.init 8 (fun _ -> Rng.gaussian rng))
+      ~bias:[| 0.5; -0.25 |]
+  in
+  [
+    ("dense", Util.small_net rng);
+    ("conv", Nn.Network.create ~input_dim:16 [ Nn.Layer.Conv conv ]);
+    ("maxpool", Nn.Init.lenet_like rng ~input ~classes:3);
+    ("avgpool", Nn.Init.lenet_like ~pooling:`Avg rng ~input ~classes:3);
+    ( "edge floats",
+      Nn.Network.create ~input_dim:3
+        [
+          Nn.Layer.affine
+            (Mat.init 3 3 (fun i j -> edge.((3 * i) + j)))
+            [| -0.0; 2.5e-310; 1e-300 |];
+        ] );
+  ]
+
+let test_serial_text_is_a_fixed_point () =
+  List.iter
+    (fun (name, net) ->
+      let text = Nn.Serial.to_string net in
+      Alcotest.(check string) name text
+        (Nn.Serial.to_string (Nn.Serial.of_string text)))
+    (serial_nets ())
+
 let test_serial_rejects_garbage () =
-  Alcotest.check_raises "bad header"
-    (Failure "Serial: expected \"network\", got \"garbage\"") (fun () ->
-      ignore (Nn.Serial.of_string "garbage 3"))
+  let fails msg text =
+    Alcotest.check_raises msg (Failure msg) (fun () ->
+        ignore (Nn.Serial.of_string text))
+  in
+  fails "Serial: expected \"network\", got \"garbage\"" "garbage 3";
+  fails "Serial: unexpected end of input" "network 2\naffine 1 2 0.5 ";
+  fails "Serial: expected float, got \"0.5x\"" "network 2\naffine 1 2 0.5x 1 1\nend\n";
+  fails "Serial: expected integer, got \"1.5\"" "network 1.5\nend\n";
+  fails "Serial: unknown layer kind \"dense\"" "network 2\ndense\nend\n";
+  (* Only space, tab and newline separate tokens. *)
+  fails "Serial: expected integer, got \"2\\r\"" "network 2\r\nrelu\r\nend\r\n"
+
+let test_serial_whitespace () =
+  let net =
+    Nn.Serial.of_string "network\t2 \n  affine   1\t\t2  0.5 -1\n\n 0.25\n\trelu\nend"
+  in
+  Alcotest.(check string) "tabs and repeated spaces separate tokens"
+    "network 2\naffine 1 2 0.5 -1 0.25\nrelu\nend\n"
+    (Nn.Serial.to_string net)
 
 let test_serial_file_roundtrip () =
   let net = Nn.Init.xor () in
@@ -516,6 +569,8 @@ let () =
           Util.case "dense roundtrip" test_serial_roundtrip_dense;
           Util.case "conv roundtrip" test_serial_roundtrip_conv;
           Util.case "rejects garbage" test_serial_rejects_garbage;
+          Util.case "text is a fixed point" test_serial_text_is_a_fixed_point;
+          Util.case "whitespace" test_serial_whitespace;
           Util.case "file roundtrip" test_serial_file_roundtrip;
         ] );
     ]

@@ -212,6 +212,37 @@ let test_jsonw_roundtrip_test_reader () =
        (Util.Json.member "three"
           (List.nth (Util.Json.to_list (Util.Json.member "items" j)) 2)))
 
+(* Byte strings up to 200 KB with quotes, backslashes, control bytes
+   and bytes >= 0x80 at random positions, and at the first and last
+   position half the time each: the writer copies the runs between
+   them in one piece and the reader must put every byte back. *)
+let escape_bytes_gen =
+  let open QCheck2.Gen in
+  let* len = oneof [ int_range 0 16; int_range 1 200_000 ] in
+  let* seed = int in
+  let rng = Random.State.make [| seed |] in
+  let special () =
+    match Random.State.int rng 4 with
+    | 0 -> if Random.State.bool rng then '"' else '\\'
+    | 1 -> Char.chr (Random.State.int rng 0x20)
+    | 2 -> Char.chr (0x80 + Random.State.int rng 0x80)
+    | _ -> Char.chr (Random.State.int rng 256)
+  in
+  let b = Bytes.init len (fun _ -> Char.chr (0x20 + Random.State.int rng 0x5f)) in
+  for _ = 1 to Random.State.int rng (1 + (len / 64)) do
+    Bytes.set b (Random.State.int rng len) (special ())
+  done;
+  if len > 0 && Random.State.bool rng then Bytes.set b 0 (special ());
+  if len > 0 && Random.State.bool rng then Bytes.set b (len - 1) (special ());
+  return (Bytes.to_string b)
+
+let test_jsonw_string_roundtrip =
+  Util.qtest "strings round-trip through both readers" ~count:40
+    escape_bytes_gen (fun s ->
+      let text = Telemetry.Jsonw.to_string (Telemetry.Jsonw.Str s) in
+      Telemetry.Jsonw.parse text = Telemetry.Jsonw.Str s
+      && Util.Json.parse text = Util.Json.Str s)
+
 let test_trace_lines_are_valid_json () =
   let events =
     with_trace (fun () ->
@@ -325,6 +356,7 @@ let () =
           Util.case "round-trip through own parser" test_jsonw_roundtrip_self;
           Util.case "round-trip through test reader"
             test_jsonw_roundtrip_test_reader;
+          test_jsonw_string_roundtrip;
         ];
       Util.suite "verify-telemetry"
         [
