@@ -3,8 +3,9 @@
    Times the dense kernels that dominate the abstract interpreter —
    [Mat.gemm], the batched zonotope affine transformer, and im2col
    convolution — at several sizes, and writes [BENCH_kernels.json]
-   records (shape, ns/op, GFLOP/s, workers) so later PRs have a perf
-   trajectory to regress against.
+   records (shape, ns/op, GFLOP/s) so later changes have a perf
+   trajectory to regress against.  Every kernel runs on the calling
+   domain.
 
    Usage:
      dune exec bench/kernels.exe                  # full sweep -> BENCH_kernels.json
@@ -21,7 +22,6 @@ type result = {
   group : string;
   name : string;
   shape : string;
-  workers : int;  (** kernel worker count for this row; 1 = sequential *)
   ns_per_op : float;
   gflops : float;  (** 0.0 when a FLOP count is not meaningful *)
   speedup : float;  (** vs the group's reference kernel; 0.0 if none *)
@@ -44,6 +44,15 @@ let run_batch batch f =
   done;
   (Unix.gettimeofday () -. t0) /. float_of_int batch
 
+(* Best batch of [f] over [repeats]. *)
+let time_ns ?(quota = 0.2) ?(repeats = 5) f =
+  let batch = batch_size ~quota f in
+  let best = ref infinity in
+  for _ = 1 to repeats do
+    best := Float.min !best (run_batch batch f)
+  done;
+  !best *. 1e9
+
 (* Time a (reference, candidate) pair with interleaved repeats —
    ref, cand, ref, cand, ... — so the reported speedup ratio is robust
    against frequency / scheduler drift on a shared machine, which would
@@ -61,13 +70,12 @@ let time_pair_ns ?(quota = 0.2) ?(repeats = 5) fref fcand =
 
 let results : result list ref = ref []
 
-let record ~group ~name ~shape ?(workers = 1) ~flops ?(speedup = 0.0) ns =
+let record ~group ~name ~shape ~flops ?(speedup = 0.0) ns =
   let gflops = if flops <= 0.0 then 0.0 else flops /. ns in
   results :=
-    { group; name; shape; workers; ns_per_op = ns; gflops; speedup }
-    :: !results;
-  Printf.printf "  %-24s %-18s w%d %12.0f ns/op %8.2f GFLOP/s%s\n%!" name shape
-    workers ns gflops
+    { group; name; shape; ns_per_op = ns; gflops; speedup } :: !results;
+  Printf.printf "  %-24s %-18s %12.0f ns/op %8.2f GFLOP/s%s\n%!" name shape ns
+    gflops
     (if speedup > 0.0 then Printf.sprintf "  %5.2fx" speedup else "")
 
 let rng = Rng.create 2019
@@ -79,9 +87,9 @@ let random_vec n = Vec.init n (fun _ -> Rng.gaussian rng)
 (* ------------------------------------------------------------------ *)
 (* GEMM *)
 
-let bench_gemm ?(jobs_sweep = []) ~sizes () =
+let bench_gemm ~sizes () =
   Printf.printf "== gemm ==\n%!";
-  List.concat_map
+  List.iter
     (fun n ->
       let a = random_mat n n and b = random_mat n n in
       let c = Mat.zeros n n in
@@ -108,33 +116,7 @@ let bench_gemm ?(jobs_sweep = []) ~sizes () =
       in
       record ~group:"gemm" ~name:"matmul-naive" ~shape ~flops naive_ns;
       record ~group:"gemm" ~name:"gemm" ~shape ~flops
-        ~speedup:(naive_ns /. gemm_ns) gemm_ns;
-      (* Workers sweep: the same product on the kernel-helper team,
-         interleaved against the sequential kernel so the parallel
-         speedup survives frequency drift.  Results must stay
-         bit-identical to the sequential output — that is the whole
-         contract of the row-panel split. *)
-      let seq = Mat.zeros n n in
-      Mat.gemm ~jobs:1 a b seq;
-      List.map
-        (fun j ->
-          let seq_ns, par_ns =
-            time_pair_ns
-              (fun () -> Mat.gemm ~jobs:1 a b c)
-              (fun () -> Mat.gemm ~jobs:j a b c)
-          in
-          let speedup = seq_ns /. par_ns in
-          record ~group:"gemm" ~name:"gemm" ~shape ~workers:j ~flops ~speedup
-            par_ns;
-          Mat.gemm ~jobs:j a b c;
-          if c.Mat.data <> seq.Mat.data then
-            failwith
-              (Printf.sprintf
-                 "bench/kernels: gemm jobs=%d result differs from sequential \
-                  at %s"
-                 j shape);
-          ((n, j), speedup))
-        jobs_sweep)
+        ~speedup:(naive_ns /. gemm_ns) gemm_ns)
     sizes
 
 (* ------------------------------------------------------------------ *)
@@ -231,12 +213,11 @@ let bench_conv ~configs () =
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end deep propagation: a deep affine/ReLU stack pushed through
-   the abstract interpreter with the zonotope domain, at several kernel
-   worker counts.  This is the verifier's actual hot loop — generator
-   GEMMs wrapped in prune/relu bookkeeping — so it shows how much of
-   the raw GEMM speedup survives end to end. *)
+   the abstract interpreter with the zonotope domain.  This is the
+   verifier's actual hot loop — generator GEMMs wrapped in prune/relu
+   bookkeeping. *)
 
-let bench_deep_propagate ~jobs_list () =
+let bench_deep_propagate () =
   Printf.printf "== deep-propagate ==\n%!";
   let dim = 192 and pairs = 6 in
   (* 6 x (affine 192x192 + relu) = 12 layers.  Weights are scaled like
@@ -258,44 +239,15 @@ let bench_deep_propagate ~jobs_list () =
       ~hi:(Vec.init dim (fun i -> center.(i) +. 0.05))
   in
   let shape = Printf.sprintf "%dL x %d" (Nn.Network.num_layers net) dim in
-  let propagate jobs () =
+  let propagate () =
     ignore
       (Absint.Analyzer.propagate
          (module Domains.Zonotope)
-         ~jobs net
+         net
          (Domains.Zonotope.of_box box))
   in
-  let base_out =
-    Absint.Analyzer.propagate
-      (module Domains.Zonotope)
-      ~jobs:1 net
-      (Domains.Zonotope.of_box box)
-  in
-  List.iter
-    (fun jobs ->
-      let seq_ns, par_ns = time_pair_ns (propagate 1) (propagate jobs) in
-      let ns = if jobs = 1 then seq_ns else par_ns in
-      let speedup = if jobs = 1 then 0.0 else seq_ns /. par_ns in
-      record ~group:"deep-propagate" ~name:"analyzer-zonotope" ~shape
-        ~workers:jobs ~flops:0.0 ~speedup ns;
-      (* Determinism gate: the abstract output must be bit-identical to
-         the sequential pass at every worker count. *)
-      let out =
-        Absint.Analyzer.propagate
-          (module Domains.Zonotope)
-          ~jobs net
-          (Domains.Zonotope.of_box box)
-      in
-      if
-        Domains.Zonotope.center out <> Domains.Zonotope.center base_out
-        || Domains.Zonotope.generators out
-           <> Domains.Zonotope.generators base_out
-      then
-        failwith
-          (Printf.sprintf
-             "bench/kernels: deep propagate jobs=%d differs from sequential"
-             jobs))
-    jobs_list
+  record ~group:"deep-propagate" ~name:"analyzer-zonotope" ~shape ~flops:0.0
+    (time_ns propagate)
 
 (* ------------------------------------------------------------------ *)
 (* JSON output *)
@@ -308,16 +260,12 @@ let write_json path rs =
         ("group", Str r.group);
         ("name", Str r.name);
         ("shape", Str r.shape);
-        ("workers", Int r.workers);
         ("ns_per_op", Float r.ns_per_op);
         ("gflops", Float r.gflops);
         ("speedup", Float r.speedup);
       ]
   in
-  (* [cores] records the machine the numbers came from: parallel rows
-     measured on fewer cores than workers are expected to show no
-     speedup, and bin/benchdiff.exe compares rows like-for-like on the
-     per-row [workers] field. *)
+  (* [cores] records the machine the numbers came from. *)
   let doc =
     Obj
       [
@@ -345,10 +293,8 @@ let () =
   in
   if smoke then begin
     (* Tiny sizes: exercises every kernel path and the correctness
-       gates — including the parallel row-panel bit-identity and the
-       deep-propagate determinism gate — used as the tier-1 regression
-       smoke under `dune runtest`. *)
-    ignore (bench_gemm ~jobs_sweep:[ 2; 4 ] ~sizes:[ 17 ] ());
+       gates, used as the tier-1 regression smoke under `dune runtest`. *)
+    bench_gemm ~sizes:[ 17 ] ();
     ignore (bench_zonotope ~configs:[ (9, 13) ] ());
     bench_conv ~configs:[ (2, 6, 3, 3) ] ();
     Printf.printf "kernel smoke ok\n%!"
@@ -356,45 +302,25 @@ let () =
   else if quick then begin
     (* CI regression probe: a mid-size shape per group, chosen to
        overlap the full sweep so bin/benchdiff.exe can compare the
-       output against the committed BENCH_kernels.json baseline
-       (like-for-like on the per-row workers field). *)
-    ignore (bench_gemm ~jobs_sweep:[ 2; 4 ] ~sizes:[ 64 ] ());
+       output against the committed BENCH_kernels.json baseline. *)
+    bench_gemm ~sizes:[ 64 ] ();
     ignore (bench_zonotope ~configs:[ (64, 128) ] ());
     bench_conv ~configs:[ (4, 16, 8, 3) ] ();
-    bench_deep_propagate ~jobs_list:[ 1; 4 ] ();
+    bench_deep_propagate ();
     write_json out_path (List.rev !results)
   end
   else begin
-    let gemm_speedups =
-      bench_gemm ~jobs_sweep:[ 2; 4 ] ~sizes:[ 32; 64; 128; 256 ] ()
-    in
+    bench_gemm ~sizes:[ 32; 64; 128; 256 ] ();
     let zono = bench_zonotope ~configs:[ (32, 64); (64, 128); (128, 256); (256, 256) ] () in
     bench_conv ~configs:[ (1, 16, 4, 3); (4, 16, 8, 3); (8, 28, 16, 3) ] ();
-    bench_deep_propagate ~jobs_list:[ 1; 2; 4 ] ();
+    bench_deep_propagate ();
     write_json out_path (List.rev !results);
-    (* The acceptance gate of the batching PR: batched zonotope affine
-       must beat the per-generator path by >= 3x at 128 gens x 256 dims. *)
-    (match List.assoc_opt (128, 256) zono with
+    (* The acceptance gate of the batching change: batched zonotope
+       affine must beat the per-generator path by >= 3x at 128 gens x
+       256 dims. *)
+    match List.assoc_opt (128, 256) zono with
     | Some s when s < 3.0 ->
         Printf.eprintf
           "WARNING: batched zonotope affine speedup %.2fx < 3x at 128x256\n" s
-    | _ -> ());
-    (* The acceptance gate of the parallel-GEMM PR: >= 2.5x at 4 workers
-       on 256x256x256.  Only meaningful on a machine that actually has
-       the cores — a 1-core container runs all panels on one domain and
-       the sweep documents that honestly (speedup ~1x, cores field in
-       the JSON). *)
-    let cores = Domain.recommended_domain_count () in
-    match List.assoc_opt (256, 4) gemm_speedups with
-    | Some s when cores >= 4 && s < 2.5 ->
-        Printf.eprintf
-          "WARNING: parallel gemm speedup %.2fx < 2.5x at 256^3 with 4 \
-           workers on %d cores\n"
-          s cores
-    | Some s when cores < 4 ->
-        Printf.printf
-          "note: %d core(s) available; 4-worker gemm speedup %.2fx is \
-           core-bound, not a regression\n%!"
-          cores s
     | _ -> ()
   end

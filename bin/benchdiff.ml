@@ -13,8 +13,8 @@
    Understands both repo benchmark schemas:
      - kernels files (bench/kernels.exe): records keyed by
        (group, name, shape, workers) — the worker count defaults to 1
-       when the row predates the field, so parallel rows only ever
-       compare like-for-like — metric ns_per_op;
+       when a row has no such field, so rows only ever compare
+       like-for-like — metric ns_per_op;
      - suite files (Runner.save_json): records keyed by
        (tool, network, property), metric time_seconds.
    Top-level wall_seconds and telemetry counters are compared too, as

@@ -195,11 +195,6 @@ let verify_cmd =
     if Option.is_some proofcache then
       Format.printf "proof cache: %d hits / %d lookups this run@."
         report.Charon.Verify.cache_hits report.Charon.Verify.cache_lookups;
-    if report.Charon.Verify.kernel_fanouts > 0 then
-      Format.printf
-        "kernel parallelism: %d solo regions fanned out, peak %d domains@."
-        report.Charon.Verify.kernel_fanouts
-        report.Charon.Verify.kernel_peak_domains;
     report_proofcache proofcache;
     match report.Charon.Verify.outcome with
     | Common.Outcome.Verified | Common.Outcome.Refuted _ -> 0

@@ -30,13 +30,8 @@ let layer_kind = function
   | Nn.Layer.Conv _ -> "conv"
   | Nn.Layer.Avgpool _ -> "avgpool"
 
-let propagate (type a) (module D : Domain_sig.S with type t = a) ?(jobs = 1)
-    ?stats ?budget net (input : a) : a =
-  (* [jobs] grants the pass ambient kernel parallelism: the generator
-     GEMM inside [D.affine] picks it up through [Mat.default_jobs]
-     without widening the [Domain_sig.S] interface.  Results are
-     bit-identical for every value (see {!Linalg.Mat.gemm}). *)
-  Mat.with_default_jobs jobs @@ fun () ->
+let propagate (type a) (module D : Domain_sig.S with type t = a) ?stats
+    ?budget net (input : a) : a =
   let poll () =
     match budget with
     | Some b when Common.Budget.exhausted b -> raise Out_of_budget
@@ -100,18 +95,18 @@ let margin_of (type a) (module D : Domain_sig.S with type t = a) (out : a)
   done;
   !best
 
-let margin_lower ?jobs ?stats ?budget net region ~k spec =
+let margin_lower ?stats ?budget net region ~k spec =
   check_region net region;
   let m = net.Nn.Network.output_dim in
   if k < 0 || k >= m then invalid_arg "Analyzer: class index out of range";
   if m < 2 then invalid_arg "Analyzer: need at least two classes";
   let (module D) = Domain.get spec in
-  match propagate (module D) ?jobs ?stats ?budget net (D.of_box region) with
+  match propagate (module D) ?stats ?budget net (D.of_box region) with
   | out -> margin_of (module D) out ~num_classes:m ~k
   | exception Out_of_budget ->
       Telemetry.Metrics.incr c_out_of_budget;
       neg_infinity
 
-let analyze ?jobs ?stats ?budget net region ~k spec =
-  if margin_lower ?jobs ?stats ?budget net region ~k spec > 0.0 then Verified
+let analyze ?stats ?budget net region ~k spec =
+  if margin_lower ?stats ?budget net region ~k spec > 0.0 then Verified
   else Unknown

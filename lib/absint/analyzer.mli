@@ -24,17 +24,12 @@ exception Out_of_budget
 
 val propagate :
   (module Domains.Domain_sig.S with type t = 'a) ->
-  ?jobs:int ->
   ?stats:stats ->
   ?budget:Common.Budget.t ->
   Nn.Network.t ->
   'a ->
   'a
 (** Push an abstract element through every layer of the network.
-    [jobs] (default [1]) sets the ambient kernel worker count for the
-    pass ({!Linalg.Mat.with_default_jobs}): the generator GEMMs of
-    affine layers then fan out over the persistent kernel-helper team,
-    with bit-identical results for every value.
     @raise Out_of_budget if [budget] expires between layers. *)
 
 val output_bounds :
@@ -42,7 +37,6 @@ val output_bounds :
 (** Bounds of each output score over the input region. *)
 
 val margin_lower :
-  ?jobs:int ->
   ?stats:stats ->
   ?budget:Common.Budget.t ->
   Nn.Network.t ->
@@ -56,7 +50,6 @@ val margin_lower :
     mid-pass. *)
 
 val analyze :
-  ?jobs:int ->
   ?stats:stats ->
   ?budget:Common.Budget.t ->
   Nn.Network.t ->

@@ -3,30 +3,22 @@
    domain concurrently.
 
    Lock-free by design:
-   - [used] and [polls] are only ever fetch_and_add'ed — no
-     read-modify-write cycles that could lose updates;
+   - [used] is only ever fetch_and_add'ed — no read-modify-write
+     cycles that could lose updates;
    - [expired] is sticky: it transitions false -> true exactly once and
-     is never reset, so a stale read only delays expiry by one poll;
+     is never reset, so once any poll has seen the deadline pass, later
+     polls answer without reading the clock;
    - the immutable fields are set at creation and safely shared. *)
 type t = {
   deadline : float option;
   max_steps : int option;
   started : float;
   used : int Atomic.t;
-  polls : int Atomic.t;  (** wall-clock polls since creation *)
   expired : bool Atomic.t;  (** sticky once the deadline passes *)
 }
 [@@race.atomic]
 
 let now () = Unix.gettimeofday ()
-
-(* The analyzer polls once per layer per region (and parallel workers
-   multiply that), so re-reading the wall clock on every poll costs real
-   time on the hot path.  Only every [poll_stride]-th poll reads the
-   clock; step-budget checks stay exact.  Deadline detection is thereby
-   delayed by at most [poll_stride - 1] polls and is sticky once seen —
-   callers must poll in a loop rather than rely on the very next call. *)
-let poll_stride = 32
 
 let create ?seconds ?steps () =
   let started = now () in
@@ -35,7 +27,6 @@ let create ?seconds ?steps () =
     max_steps = steps;
     started;
     used = Atomic.make 0;
-    polls = Atomic.make 0;
     expired = Atomic.make false;
   }
 
@@ -47,12 +38,15 @@ let of_steps n = create ~steps:n ()
 
 let spend t n = ignore (Atomic.fetch_and_add t.used n)
 
+(* Every poll reads the clock (tens of nanoseconds), so the first poll
+   past the deadline exhausts: the analyzer polls once per layer, and a
+   single pass must be able to see its own deadline. *)
 let past_deadline t d =
   Atomic.get t.expired
   ||
-  let p = Atomic.fetch_and_add t.polls 1 in
-  if p mod poll_stride = 0 && now () > d then Atomic.set t.expired true;
-  Atomic.get t.expired
+  let past = now () > d in
+  if past then Atomic.set t.expired true;
+  past
 
 let exhausted t =
   (match t.max_steps with Some m -> Atomic.get t.used >= m | None -> false)

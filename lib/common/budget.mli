@@ -23,14 +23,9 @@ val spend : t -> int -> unit
     be shared across parallel verifier workers. *)
 
 val exhausted : t -> bool
-(** Whether either limit has been hit.  Step-budget checks are exact on
-    every call; the wall clock is only re-read on every [poll_stride]-th
-    call (and sticky once past the deadline), so deadline expiry is
-    detected within a bounded number of polls rather than on the very
-    next one.  Thread-safe. *)
-
-val poll_stride : int
-(** Number of [exhausted] polls between wall-clock reads. *)
+(** Whether either limit has been hit.  Both checks are exact on every
+    call: the first call past the deadline answers [true], and every
+    later one does too (expiry is sticky).  Thread-safe. *)
 
 val elapsed : t -> float
 (** Seconds since the budget was created. *)

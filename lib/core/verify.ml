@@ -36,7 +36,6 @@ type report = {
   cache_lookups : int;
   cache_hits : int;
   kernel_fanouts : int;
-  kernel_peak_domains : int;
 }
 
 (* Counters are shared by every worker domain, so the integer ones are
@@ -52,7 +51,6 @@ type counters = {
   peak_depth : int Atomic.t;
   cache_lookups : int Atomic.t;
   cache_hits : int Atomic.t;
-  kernel_fanouts : int Atomic.t;
   domains_mutex : Mutex.t;
   domains : (Domain.spec, int) Hashtbl.t;
 }
@@ -67,7 +65,6 @@ let fresh_counters () =
     peak_depth = Atomic.make 0;
     cache_lookups = Atomic.make 0;
     cache_hits = Atomic.make 0;
-    kernel_fanouts = Atomic.make 0;
     domains_mutex = Mutex.create ();
     domains = Hashtbl.create 8;
   }
@@ -210,7 +207,7 @@ let search_candidate ctx ~rng region =
    (lines 2-4), a proof attempt with the policy's domain (lines 5-7),
    and on failure a policy-guided split (lines 8-12).  Returns the
    sub-regions still to be proven. *)
-let process ctx ~kjobs ~rng ~pnode region depth :
+let process ctx ~rng ~pnode region depth :
     (Common.Outcome.t, (Box.t * int * float) list * pnode option) Either.t =
   let counters = ctx.ctrs in
   Atomic.incr counters.nodes;
@@ -322,10 +319,9 @@ let process ctx ~kjobs ~rng ~pnode region depth :
         let stats = Absint.Analyzer.fresh_stats () in
         Atomic.incr counters.analyze_calls;
         Telemetry.Metrics.incr c_analyze;
-        if kjobs > 1 then Atomic.incr counters.kernel_fanouts;
         let verdict =
-          Absint.Analyzer.analyze ~jobs:kjobs ~stats ~budget:ctx.budget ctx.net
-            region ~k:ctx.prop.Common.Property.target spec
+          Absint.Analyzer.analyze ~stats ~budget:ctx.budget ctx.net region
+            ~k:ctx.prop.Common.Property.target spec
         in
         ignore
           (Atomic.fetch_and_add counters.transformer_calls
@@ -442,21 +438,8 @@ let search ctx ~workers ~rng ~stop region ~depth =
           if Parallel.Cancel.cancelled cancel then ()
           else if stop () then give_up it
           else begin
-            (* Solo-in-flight nesting policy: grant this region the
-               full [-j] budget for its GEMM kernels only when it is
-               the single outstanding work item — no queued regions,
-               no other worker mid-region.  The check is race-free:
-               only in-flight workers push, so with outstanding = 1
-               (us) nobody can concurrently add work or start a
-               region.  Any other time the budget is spent on region
-               parallelism and kernels stay sequential, so computing
-               domains never exceed [workers]. *)
-            let kjobs =
-              if Parallel.Wqueue.outstanding queue = 1 then workers else 1
-            in
             match
-              process ctx ~kjobs ~rng:it.rng ~pnode:it.pnode it.region
-                it.depth
+              process ctx ~rng:it.rng ~pnode:it.pnode it.region it.depth
             with
             | Either.Left Common.Outcome.Timeout -> give_up it
             | Either.Left outcome -> settle outcome
@@ -541,8 +524,7 @@ let run ?(config = default_config) ?(budget = Common.Budget.unlimited ())
        used);
     cache_lookups = Atomic.get counters.cache_lookups;
     cache_hits = Atomic.get counters.cache_hits;
-    kernel_fanouts = Atomic.get counters.kernel_fanouts;
-    kernel_peak_domains = Parallel.Kpool.peak_participants ();
+    kernel_fanouts = 0;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -53,12 +53,8 @@ type report = {
       (** subtrees discharged from the proof cache without an analyze
           call *)
   kernel_fanouts : int;
-      (** regions analyzed with kernel parallelism granted by the
-          solo-in-flight nesting policy (always 0 when [workers = 1]) *)
-  kernel_peak_domains : int;
-      (** process-wide high-water mark of domains concurrently computing
-          GEMM panels ({!Parallel.Kpool.peak_participants}); the nesting
-          policy keeps it within the [-j] budget *)
+      (** always 0: kernels run on the region worker's own domain.  Kept
+          only because the benchmark's per-layer report reads it. *)
 }
 
 val run :
@@ -101,13 +97,10 @@ val run :
     worklist to drain empty.  One worker draws every region's PGD
     samples from [rng] in pop order; with more, each work item carries
     an RNG split off its parent's, so a fixed (seed, workers) pair
-    reproduces the same search tree regardless of scheduling.  A worker
-    that holds the only outstanding region (tail of the search, or a
-    tree that never fans out) re-spends the [-j] budget on kernel
-    parallelism inside its abstract pass ({!Linalg.Mat.gemm} row
-    panels, bit-identical results); under full region parallelism
-    kernels stay sequential, so domains computing at once never exceed
-    [workers].  Raises [Invalid_argument] when [workers < 1].
+    reproduces the same search tree regardless of scheduling.  Each
+    region is processed entirely on the worker that popped it, so the
+    run computes on at most [workers] domains.  Raises
+    [Invalid_argument] when [workers < 1].
 
     [cancel] is a cooperative external stop: the token is polled once
     per region, and a run that observes it abandons the search and

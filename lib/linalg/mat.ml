@@ -165,18 +165,9 @@ let block_n = 128
 
 let block_k = 512
 
-(* cd rows [i_lo, i_hi) of an (m x n) output += alpha * (rows [i_lo,
-   i_hi) of ad, an m x k row-major matrix) * bd^T, where bd holds n rows
-   of length k.  Every row is streamed contiguously.
-
-   The row range is the parallel partition axis: [gemm ~jobs] hands
-   each task a panel whose bounds are multiples of 4 (except [i_hi] of
-   the last panel, which is [m]), so every row goes through exactly the
-   same inner kernel — 4x4 tile or edge — and the same k-blocked
-   accumulation order as the sequential [i_lo = 0, i_hi = m] sweep.
-   That is the whole bit-identity argument: each output cell is written
-   by exactly one task, via the identical float operation sequence. *)
-let gemm_nt ~i_lo ~i_hi ~n ~k ~alpha ad bd cd =
+(* cd (m x n) += alpha * ad (m x k, row-major) * bd^T, where bd holds
+   n rows of length k.  Every row is streamed contiguously. *)
+let gemm_nt ~m ~n ~k ~alpha ad bd cd =
   (* Dot-product edge kernel for tile remainders. *)
   let edge i_lo i_hi j_lo j_hi p_lo p_hi =
     for i = i_lo to i_hi - 1 do
@@ -334,8 +325,8 @@ let gemm_nt ~i_lo ~i_hi ~n ~k ~alpha ad bd cd =
     let pp = ref 0 in
     while !pp < k do
       let p_hi = Stdlib.min k (!pp + block_k) in
-      let i = ref i_lo in
-      while !i + 3 < i_hi do
+      let i = ref 0 in
+      while !i + 3 < m do
         let j = ref !jj in
         while !j < j_tiled do
           tile4x4 !i !j !pp p_hi;
@@ -344,16 +335,15 @@ let gemm_nt ~i_lo ~i_hi ~n ~k ~alpha ad bd cd =
         if j_tiled < j_hi then edge !i (!i + 4) j_tiled j_hi !pp p_hi;
         i := !i + 4
       done;
-      if !i < i_hi then edge !i i_hi !jj j_hi !pp p_hi;
+      if !i < m then edge !i m !jj j_hi !pp p_hi;
       pp := p_hi
     done;
     jj := j_hi
   done
 
-(* cd rows [i_lo, i_hi) += alpha * (rows [i_lo, i_hi) of ad, m x k
-   row-major) * bd (k x n, row-major).  Same row-range contract as
-   [gemm_nt]. *)
-let gemm_nn ~i_lo ~i_hi ~n ~k ~alpha ad bd cd =
+(* cd (m x n) += alpha * ad (m x k, row-major) * bd (k x n,
+   row-major). *)
+let gemm_nn ~m ~n ~k ~alpha ad bd cd =
   (* Broadcast-accumulate edge kernel: streams contiguous [b] and [c]
      row segments (matvec_t style) for row remainders of the tiling. *)
   let edge i_lo i_hi j_lo j_hi p_lo p_hi =
@@ -468,8 +458,8 @@ let gemm_nn ~i_lo ~i_hi ~n ~k ~alpha ad bd cd =
     let pp = ref 0 in
     while !pp < k do
       let p_hi = Stdlib.min k (!pp + block_k) in
-      let i = ref i_lo in
-      while !i + 3 < i_hi do
+      let i = ref 0 in
+      while !i + 3 < m do
         let j = ref !jj in
         while !j < j_tiled do
           tile4x4 !i !j !pp p_hi;
@@ -478,46 +468,13 @@ let gemm_nn ~i_lo ~i_hi ~n ~k ~alpha ad bd cd =
         if j_tiled < j_hi then edge !i (!i + 4) j_tiled j_hi !pp p_hi;
         i := !i + 4
       done;
-      if !i < i_hi then edge !i i_hi !jj j_hi !pp p_hi;
+      if !i < m then edge !i m !jj j_hi !pp p_hi;
       pp := p_hi
     done;
     jj := j_hi
   done
 
-(* ------------------------------------------------------------------ *)
-(* Parallel driver.
-
-   [gemm ~jobs] splits the output into row panels and runs them on the
-   persistent kernel-helper team ({!Parallel.Kpool}).  Panels start at
-   multiples of 4 rows so each row meets exactly the kernel (4x4 tile
-   vs edge) and accumulation order it would meet sequentially, and each
-   output cell is written by exactly one panel — results are therefore
-   bit-identical for every worker count, including 1.
-
-   When [?jobs] is omitted the ambient default applies (set by
-   {!with_default_jobs}, the verifier's nesting policy): kernels then
-   fan out only above [parallel_min_flops], so the many small products
-   of a narrow layer stay on the calling domain.  An explicit
-   [~jobs:n] bypasses the threshold (benchmarks, tests). *)
-
-let ambient_jobs = Domain.DLS.new_key (fun () -> 1)
-
-let default_jobs () = Domain.DLS.get ambient_jobs
-
-let with_default_jobs jobs f =
-  let saved = Domain.DLS.get ambient_jobs in
-  Domain.DLS.set ambient_jobs (Stdlib.max 1 jobs);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_jobs saved) f
-
-(* Ambient fan-out threshold, in flops (2*m*n*k): below this a
-   broadcast + park round-trip costs more than the kernel itself. *)
-let parallel_min_flops = 4_000_000.0
-
-let c_parallel = Telemetry.Metrics.counter "kernel.gemm.parallel_calls"
-
-let c_fallback = Telemetry.Metrics.counter "kernel.gemm.sequential_fallbacks"
-
-let gemm ?jobs ?(transa = false) ?(transb = false) ?(alpha = 1.0)
+let gemm ?(transa = false) ?(transb = false) ?(alpha = 1.0)
     ?(beta = 0.0) a b c =
   let m = if transa then a.cols else a.rows
   and kd = if transa then a.rows else a.cols
@@ -539,39 +496,9 @@ let gemm ?jobs ?(transa = false) ?(transb = false) ?(alpha = 1.0)
       Array.unsafe_set cd i (beta *. Array.unsafe_get cd i)
     done;
   if m > 0 && n > 0 && kd > 0 && alpha <> 0.0 then begin
-    let explicit = jobs <> None in
-    let jobs =
-      match jobs with
-      | Some j -> Stdlib.max 1 j
-      | None -> Domain.DLS.get ambient_jobs
-    in
-    let kernel ad i_lo i_hi =
-      if transb then gemm_nt ~i_lo ~i_hi ~n ~k:kd ~alpha ad b.data cd
-      else gemm_nn ~i_lo ~i_hi ~n ~k:kd ~alpha ad b.data cd
-    in
     let compute ad =
-      (* Partition the 4-row tile groups; the last panel also takes the
-         edge tail [m/4*4, m), exactly as the sequential sweep would. *)
-      let quads = m / 4 in
-      let tasks = Stdlib.min jobs (Stdlib.max 1 quads) in
-      let big =
-        explicit || 2.0 *. float m *. float n *. float kd >= parallel_min_flops
-      in
-      if jobs > 1 && tasks > 1 && big then begin
-        let chunk = 4 * ((quads + tasks - 1) / tasks) in
-        let ran_parallel =
-          Parallel.Kpool.run ~jobs ~tasks (fun t ->
-              let i_lo = t * chunk in
-              let i_hi = if t = tasks - 1 then m else Stdlib.min m (i_lo + chunk) in
-              if i_lo < i_hi then kernel ad i_lo i_hi)
-        in
-        if ran_parallel then Telemetry.Metrics.incr c_parallel
-        else Telemetry.Metrics.incr c_fallback
-      end
-      else begin
-        if jobs > 1 then Telemetry.Metrics.incr c_fallback;
-        kernel ad 0 m
-      end
+      if transb then gemm_nt ~m ~n ~k:kd ~alpha ad b.data cd
+      else gemm_nn ~m ~n ~k:kd ~alpha ad b.data cd
     in
     if transa then
       Scratch.with_floats (m * kd) (fun t ->

@@ -55,36 +55,16 @@ val matvec_t : t -> Vec.t -> Vec.t
     transpose.  Requires [m.rows = dim x]. *)
 
 val gemm :
-  ?jobs:int ->
   ?transa:bool -> ?transb:bool -> ?alpha:float -> ?beta:float -> t -> t -> t -> unit
-(** [gemm ?jobs ?transa ?transb ~alpha ~beta a b c] performs the BLAS-3
+(** [gemm ?transa ?transb ~alpha ~beta a b c] performs the BLAS-3
     update [c <- alpha * op(a) * op(b) + beta * c] in place, where [op]
     is the transpose when the corresponding flag is set (default
     [false]).  [alpha] defaults to [1.0] and [beta] to [0.0]
     (overwrite).  The kernel is cache-blocked with a register-tiled 4x4
     inner loop; a transposed [a] is staged once into a per-domain
-    scratch buffer.
-
-    [jobs > 1] splits the output into row panels executed on the
-    persistent kernel-helper team ({!Parallel.Kpool}).  Panel bounds
-    are multiples of 4 rows and each output cell is written by exactly
-    one panel, so the result is {b bit-identical} for every worker
-    count (including sequential execution).  An explicit [~jobs] always
-    engages the panels; when omitted, the ambient default from
-    {!with_default_jobs} applies, subject to a flop-count threshold
-    that keeps small products sequential.
+    scratch buffer.  It runs on the calling domain: parallelism lives
+    one level up, over independent regions.
     @raise Invalid_argument on shape mismatch. *)
-
-val default_jobs : unit -> int
-(** The calling domain's ambient worker count for [gemm] calls that
-    omit [?jobs] (default [1]). *)
-
-val with_default_jobs : int -> (unit -> 'a) -> 'a
-(** [with_default_jobs jobs f] runs [f] with the calling domain's
-    ambient [gemm] worker count set to [max 1 jobs], restoring the
-    previous value afterwards (also on exceptions).  This is how the
-    verifier grants kernel parallelism to a region worker without
-    threading [?jobs] through every [Domain_sig.S] operation. *)
 
 val with_scratch : int -> int -> (t -> 'a) -> 'a
 (** [with_scratch rows cols f] calls [f] with a zero-filled

@@ -12,11 +12,9 @@
    exact-size pools hit from the second propagation onward.
 
    Ownership: the arena lives in domain-local storage, so borrow and
-   release always happen on the owning domain and need no locking.  A
-   borrowed buffer MAY be read or written by other domains inside the
-   borrowing scope (GEMM row panels write disjoint slices) — the arena
-   only manages lifetime, and the buffer is never reused until the
-   scope returns, by which time every kernel round has completed.
+   release always happen on the owning domain and need no locking.  The
+   arena only manages lifetime: a buffer is never reused until its
+   borrowing scope returns.
 
    Bounds: buffers above [max_pooled_words] are allocated fresh and not
    retained; at most [max_per_size] buffers are kept per size class, so

@@ -11,9 +11,7 @@ val with_floats : int -> (float array -> 'a) -> 'a
 (** [with_floats n f] calls [f] with a zero-filled buffer of exactly
     [n] floats (semantics of [Array.make n 0.0]) and reclaims it for
     reuse when [f] returns or raises.  The buffer must not escape [f].
-    Nesting is fine; other domains may access the buffer inside the
-    scope (e.g. GEMM row panels), because reuse only happens after the
-    scope — and therefore any kernel round — has finished. *)
+    Nesting is fine: reuse only happens after the scope has returned. *)
 
 val live_words : unit -> int
 (** Floats currently held by the calling domain's arena (free and

@@ -28,6 +28,22 @@ let example_2_3 () =
   Network.create ~input_dim:2
     [ Layer.affine w1 b1; Layer.Relu; Layer.affine w2 b2 ]
 
+let staircase dim =
+  (* Rows [0, dim) of the hidden layer are relu(x_i), rows [dim, 2 dim)
+     are relu(x_i - 1); output 0 sums their differences and output 1 is
+     the constant -0.05. *)
+  let w1 =
+    Mat.init (2 * dim) dim (fun r c ->
+        if r = c || r - dim = c then 1.0 else 0.0)
+  in
+  let b1 = Vec.init (2 * dim) (fun r -> if r < dim then 0.0 else -1.0) in
+  let w2 =
+    Mat.init 2 (2 * dim) (fun r c ->
+        if r = 1 then 0.0 else if c < dim then 1.0 else -1.0)
+  in
+  Network.create ~input_dim:dim
+    [ Layer.affine w1 b1; Layer.Relu; Layer.affine w2 [| 0.0; -0.05 |] ]
+
 let he_affine rng ~fan_in ~fan_out =
   let scale = sqrt (2.0 /. float_of_int fan_in) in
   let w = Mat.init fan_out fan_in (fun _ _ -> scale *. Rng.gaussian rng) in

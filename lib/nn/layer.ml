@@ -80,16 +80,14 @@ let backward layer ~x ~dout =
 (* Batched variants: one sample per row, so affine layers run as a
    single GEMM over the whole batch ([Y = X W^T + b] forward, [dX =
    dY W] backward) instead of one matvec per sample.  Non-affine layers
-   fall back to the per-sample path row by row.  [?jobs] forwards to
-   {!Mat.gemm}'s row-panel parallelism (bit-identical results); omitted,
-   the ambient default applies. *)
+   fall back to the per-sample path row by row. *)
 
-let forward_batch ?jobs layer (x : Mat.t) =
+let forward_batch layer (x : Mat.t) =
   match layer with
   | Affine { w; b } ->
       (* Seed y with the broadcast bias, then accumulate X W^T on top. *)
       let y = Mat.init x.Mat.rows w.Mat.rows (fun _ j -> b.(j)) in
-      Mat.gemm ?jobs ~transb:true ~beta:1.0 x w y;
+      Mat.gemm ~transb:true ~beta:1.0 x w y;
       y
   | Relu ->
       {
@@ -106,11 +104,11 @@ let forward_batch ?jobs layer (x : Mat.t) =
       done;
       y
 
-let backward_batch ?jobs layer ~(x : Mat.t) ~(dout : Mat.t) =
+let backward_batch layer ~(x : Mat.t) ~(dout : Mat.t) =
   match layer with
   | Affine { w; _ } ->
       let dx = Mat.zeros dout.Mat.rows w.Mat.cols in
-      Mat.gemm ?jobs dout w dx;
+      Mat.gemm dout w dx;
       dx
   | Relu ->
       {

@@ -33,16 +33,13 @@ val backward : t -> x:Linalg.Vec.t -> dout:Linalg.Vec.t -> Linalg.Vec.t
     zero is taken to be zero; for [Maxpool], ties route to the first
     maximal input. *)
 
-val forward_batch : ?jobs:int -> t -> Linalg.Mat.t -> Linalg.Mat.t
+val forward_batch : t -> Linalg.Mat.t -> Linalg.Mat.t
 (** [forward] over a batch, one sample per row: affine layers run as a
-    single GEMM [Y = X W^T + b]; non-affine layers apply row by row.
-    [?jobs] forwards to {!Linalg.Mat.gemm} (bit-identical row-panel
-    parallelism). *)
+    single GEMM [Y = X W^T + b]; non-affine layers apply row by row. *)
 
-val backward_batch :
-  ?jobs:int -> t -> x:Linalg.Mat.t -> dout:Linalg.Mat.t -> Linalg.Mat.t
+val backward_batch : t -> x:Linalg.Mat.t -> dout:Linalg.Mat.t -> Linalg.Mat.t
 (** [backward] over a batch, one sample per row ([dX = dY W] for affine
-    layers).  [?jobs] as in {!forward_batch}. *)
+    layers). *)
 
 val lower :
   t ->

@@ -123,14 +123,6 @@ let c_rejected = Telemetry.Metrics.counter "serve.jobs.rejected"
 
 let h_job_wall = Telemetry.Metrics.histogram "serve.job.wall"
 
-(* Find-or-create handles on the kernel counters registered by
-   [Linalg.Mat] (the registry is name-keyed and idempotent), surfaced
-   in the stats block. *)
-let c_gemm_parallel = Telemetry.Metrics.counter "kernel.gemm.parallel_calls"
-
-let c_gemm_fallback =
-  Telemetry.Metrics.counter "kernel.gemm.sequential_fallbacks"
-
 let now () = Unix.gettimeofday ()
 
 let with_lock t f =
@@ -746,22 +738,13 @@ let stats t =
              ("evictions", J.Int pstats.Charon.Proofcache.evictions);
              ("hit_rate", J.Float p_hit_rate);
            ] );
-       (* Kernel-parallelism health: fan-out vs fallback rate of the
-          pooled GEMM, and the scratch arena's footprint.  The high-water
-          mark is read from the arena directly so it is live even when
-          telemetry counters are disabled. *)
+       (* The scratch arena's footprint, read from the arena directly so
+          it is live even when telemetry counters are disabled. *)
        ( "kernel",
          J.Obj
            [
-             ( "gemm_parallel_calls",
-               J.Int (Telemetry.Metrics.value c_gemm_parallel) );
-             ( "gemm_sequential_fallbacks",
-               J.Int (Telemetry.Metrics.value c_gemm_fallback) );
              ( "scratch_highwater_words",
                J.Int (Linalg.Scratch.highwater_words ()) );
-             ("pool_helpers", J.Int (Parallel.Kpool.helpers ()));
-             ( "pool_peak_domains",
-               J.Int (Parallel.Kpool.peak_participants ()) );
            ] );
        ( "counters",
          J.Obj

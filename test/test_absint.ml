@@ -99,6 +99,21 @@ let test_budget_aborts_propagation () =
   in
   Util.check_true "aborted pass proves nothing" (m = neg_infinity)
 
+let test_deadline_aborts_single_pass () =
+  (* The budget has already been polled once, before its deadline, as a
+     verifier polls it between regions.  A single short pass that starts
+     after the deadline must still stop at its first layer: every poll
+     reads the clock, so expiry does not wait for later polls. *)
+  let rng = Rng.create 84 in
+  let net = Util.random_dense rng [ 8; 16; 3 ] in
+  let budget = Common.Budget.of_seconds 0.05 in
+  ignore (Common.Budget.exhausted budget);
+  Unix.sleepf 0.1;
+  let m =
+    Absint.Analyzer.margin_lower ~budget net (unit_box 8) ~k:0 Domain.zonotope
+  in
+  Util.check_true "pass past the deadline proves nothing" (m = neg_infinity)
+
 let test_invalid_class_rejected () =
   let net = Nn.Init.xor () in
   Alcotest.check_raises "class out of range"
@@ -200,6 +215,8 @@ let () =
           Util.case "budget aborts pass" test_budget_aborts_propagation;
           Util.case "invalid class rejected" test_invalid_class_rejected;
           Util.case "region dimension rejected" test_region_dim_rejected;
+          Util.case "deadline aborts a single pass"
+            test_deadline_aborts_single_pass;
         ] );
       ( "precision",
         [

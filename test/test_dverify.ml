@@ -6,8 +6,8 @@
    test binary re-executing itself with [--charon-dverify-worker] (the
    same self-exec trick `charon dverify` uses), so the full stack —
    handshake, assignment, steal, crash, reassignment — is exercised
-   exactly as in production.  The workload is the staircase family from
-   test_server.ml: always Verified, never refutable by PGD, and
+   exactly as in production.  The workload is the staircase family
+   ({!Nn.Init.staircase}): always Verified, never refutable by PGD, and
    geometrically harder with dimension, so verdicts are deterministic.
 
    The worker-mode intercepts at the top MUST run before Alcotest gets
@@ -35,36 +35,13 @@ let () =
 open Linalg
 module D = Server.Protocol.Dist
 
-let eps = 0.05
-
-(* The staircase network of test_server.ml (copied, not referenced:
-   test modules run their suites at load).  Margin y_0 - y_1 >= eps
-   everywhere on the box, but interval/zonotope analyses only prove it
-   after splitting essentially every dimension. *)
-let staircase dim =
-  let w1 =
-    Mat.init (2 * dim) dim (fun r c ->
-        if r = c || r - dim = c then 1.0 else 0.0)
-  in
-  let b1 = Vec.init (2 * dim) (fun r -> if r < dim then 0.0 else -1.0) in
-  let w2 =
-    Mat.init 2 (2 * dim) (fun r c ->
-        if r = 1 then 0.0 else if c < dim then 1.0 else -1.0)
-  in
-  Nn.Network.create ~input_dim:dim
-    [
-      Nn.Layer.affine w1 b1;
-      Nn.Layer.Relu;
-      Nn.Layer.affine w2 [| 0.0; -.eps |];
-    ]
-
 let staircase_box dim = Domains.Box.of_center_radius (Vec.create dim 0.25) 1.25
 
 let staircase_spec ?(name = "staircase") ?(target = 0) ?timeout ?(seed = 1) dim
     =
   {
     Server.Protocol.name;
-    network = Nn.Serial.to_string (staircase dim);
+    network = Nn.Serial.to_string (Nn.Init.staircase dim);
     box = staircase_box dim;
     target;
     delta = 1e-4;
@@ -107,7 +84,8 @@ let oracle ?(target = 0) ?(seed = 1) dim =
   let r =
     Charon.Verify.run ~config
       ~budget:(Common.Budget.create ~seconds:60.0 ())
-      ~rng:(Rng.create seed) ~policy:Charon.Policy.default (staircase dim) prop
+      ~rng:(Rng.create seed) ~policy:Charon.Policy.default
+      (Nn.Init.staircase dim) prop
   in
   r.Charon.Verify.outcome
 
@@ -291,22 +269,23 @@ let test_refuted_matches_oracle () =
   | Common.Outcome.Refuted x ->
       Util.check_true "witness lies in the input region"
         (Domains.Box.contains (staircase_box dim) x);
-      let obj = Optim.Objective.create (staircase dim) ~k:1 in
+      let obj = Optim.Objective.create (Nn.Init.staircase dim) ~k:1 in
       Util.check_true "witness is a delta-counterexample"
         (Optim.Objective.is_delta_counterexample obj ~delta:1e-4 x)
   | o -> Alcotest.failf "expected falsified, got %s" (outcome_label o)
 
 let test_crash_recovery () =
-  (* Worker 0 SIGKILLs itself on receiving its first split, leaving
-     that split outstanding.  It asks for work as soon as it has said
-     hello, while all the initial splits are still queued, so the crash
-     happens on every run however fast the shards are.  The verdict
-     must still be Verified — i.e. the coordinator re-dealt the dead
-     worker's split — and the death and reassignment must show in the
-     stats. *)
+  (* One worker, which SIGKILLs itself on receiving its first split,
+     leaving that split outstanding.  Being the only worker, it is dealt
+     the first split on every run, so the crash cannot be skipped by a
+     faster peer finishing the proof first; its replacement must then
+     finish the whole proof.  The verdict must still be Verified — i.e.
+     the coordinator re-dealt the dead worker's split — and the death,
+     reassignment and respawn must show in the stats. *)
   let dim = 6 in
   let r =
-    dverify ~crash_injection:(0, 0) (staircase_spec ~timeout:120.0 dim)
+    dverify ~workers:1 ~crash_injection:(0, 0)
+      (staircase_spec ~timeout:120.0 dim)
   in
   check_outcome "verdict survives a SIGKILLed worker" Common.Outcome.Verified
     r.Server.Coordinator.outcome;

@@ -185,7 +185,7 @@ let naive_gemm ~transa ~transb ~alpha ~beta a b c =
       done;
       (alpha *. !acc) +. (beta *. Mat.get c i j))
 
-let check_gemm_case ~transa ~transb ~alpha ~beta ~m ~n ~k rng =
+let gemm_matches_naive ~transa ~transb ~alpha ~beta ~m ~n ~k rng =
   let a = if transa then Mat.init k m (fun _ _ -> Rng.gaussian rng)
           else Mat.init m k (fun _ _ -> Rng.gaussian rng) in
   let b = if transb then Mat.init n k (fun _ _ -> Rng.gaussian rng)
@@ -194,10 +194,16 @@ let check_gemm_case ~transa ~transb ~alpha ~beta ~m ~n ~k rng =
   let expected = naive_gemm ~transa ~transb ~alpha ~beta a b c in
   let got = Mat.copy c in
   Mat.gemm ~transa ~transb ~alpha ~beta a b got;
+  Mat.approx_equal ~eps:1e-9 expected got
+
+let check_gemm_case ~transa ~transb ~alpha ~beta ~m ~n ~k rng =
   Util.check_true
     (Printf.sprintf "gemm %dx%dx%d ta=%b tb=%b alpha=%g beta=%g" m n k transa
        transb alpha beta)
-    (Mat.approx_equal ~eps:1e-9 expected got)
+    (gemm_matches_naive ~transa ~transb ~alpha ~beta ~m ~n ~k rng)
+
+let all_transposes =
+  [ (false, false); (false, true); (true, false); (true, true) ]
 
 let test_gemm_matches_naive () =
   Util.repeat ~seed:21 ~count:30 (fun rng _ ->
@@ -210,7 +216,43 @@ let test_gemm_matches_naive () =
       List.iter
         (fun (transa, transb) ->
           check_gemm_case ~transa ~transb ~alpha ~beta ~m ~n ~k rng)
-        [ (false, false); (false, true); (true, false); (true, true) ])
+        all_transposes);
+  (* Whole 4-row tiles and remainders in every dimension. *)
+  let rng = Rng.create 26 in
+  List.iter
+    (fun (m, n, k) ->
+      List.iter
+        (fun (transa, transb) ->
+          check_gemm_case ~transa ~transb ~alpha:1.5 ~beta:(-0.5) ~m ~n ~k rng)
+        all_transposes)
+    [ (64, 64, 64); (33, 17, 29); (8, 8, 8) ]
+
+let test_gemm_degenerate_shapes () =
+  (* Single rows and columns, and empty operands: the kernel must
+     neither crash on an empty tile loop nor skip the beta scaling that
+     an empty product reduces to. *)
+  let rng = Rng.create 27 in
+  List.iter
+    (fun (m, n, k) ->
+      List.iter
+        (fun (transa, transb) ->
+          check_gemm_case ~transa ~transb ~alpha:1.5 ~beta:(-0.5) ~m ~n ~k rng)
+        all_transposes)
+    [ (1, 50, 20); (50, 1, 20); (3, 3, 1); (0, 5, 5); (5, 0, 5); (5, 5, 0) ]
+
+let qcheck_gemm_matches_naive =
+  let gen =
+    QCheck2.Gen.(
+      pair
+        (triple (int_range 0 40) (int_range 0 40) (int_range 0 48))
+        (pair bool bool))
+  in
+  Util.qtest "gemm matches naive oracle on random shapes" ~count:60 gen
+    (fun ((m, n, k), (transa, transb)) ->
+      (* Operands derive deterministically from the generated shape so a
+         failure reproduces from the printed counterexample alone. *)
+      gemm_matches_naive ~transa ~transb ~alpha:1.0 ~beta:1.0 ~m ~n ~k
+        (Rng.create (1 + m + (41 * n) + (1681 * k))))
 
 let test_gemm_crosses_blocking () =
   (* One shape wider than [block_n] and deeper than a single tile pass,
@@ -220,7 +262,7 @@ let test_gemm_crosses_blocking () =
     (fun (transa, transb) ->
       check_gemm_case ~transa ~transb ~alpha:1.0 ~beta:1.0 ~m:9 ~n:133 ~k:70
         rng)
-    [ (false, false); (false, true); (true, false); (true, true) ]
+    all_transposes
 
 let test_gemm_alpha_zero_is_beta_scale () =
   let rng = Rng.create 23 in
@@ -274,104 +316,6 @@ let test_mat_inplace_ops () =
   Mat.axpy 2.0 a y;
   Util.check_true "axpy"
     (Mat.approx_equal ~eps:0.0 (Mat.add (Mat.scale 2.0 a) b) y)
-
-(* ------------------------------------------------------------------ *)
-(* Parallel GEMM: the determinism contract of [Mat.gemm ?jobs] *)
-
-(* Every parallel schedule must produce the exact float array the
-   sequential kernel does (docs/algorithms.md), so the check below is
-   structural equality on [data] — not approx_equal. *)
-let check_gemm_jobs_identical ~transa ~transb ~m ~n ~k rng =
-  let a = if transa then Mat.init k m (fun _ _ -> Rng.gaussian rng)
-          else Mat.init m k (fun _ _ -> Rng.gaussian rng) in
-  let b = if transb then Mat.init n k (fun _ _ -> Rng.gaussian rng)
-          else Mat.init k n (fun _ _ -> Rng.gaussian rng) in
-  let c = Mat.init m n (fun _ _ -> Rng.gaussian rng) in
-  let reference = Mat.copy c in
-  Mat.gemm ~transa ~transb ~alpha:1.5 ~beta:(-0.5) ~jobs:1 a b reference;
-  List.iter
-    (fun jobs ->
-      let got = Mat.copy c in
-      Mat.gemm ~transa ~transb ~alpha:1.5 ~beta:(-0.5) ~jobs a b got;
-      Util.check_true
-        (Printf.sprintf "gemm %dx%dx%d ta=%b tb=%b jobs=%d bit-identical" m n
-           k transa transb jobs)
-        (got.Mat.data = reference.Mat.data))
-    [ 2; 4 ]
-
-let all_transposes =
-  [ (false, false); (false, true); (true, false); (true, true) ]
-
-let test_gemm_jobs_bit_identical () =
-  let rng = Rng.create 26 in
-  (* Sizes straddle the 4-row panel granularity: a multiple of 4, a
-     remainder in every dimension, and a shape wide enough that the
-     panel split is non-trivial at 4 jobs. *)
-  List.iter
-    (fun (m, n, k) ->
-      List.iter
-        (fun (transa, transb) ->
-          check_gemm_jobs_identical ~transa ~transb ~m ~n ~k rng)
-        all_transposes)
-    [ (9, 133, 70); (64, 64, 64); (33, 17, 29); (8, 8, 8) ]
-
-let test_gemm_jobs_degenerate_shapes () =
-  let rng = Rng.create 27 in
-  (* Single-row, single-column, and empty operands: the parallel driver
-     must neither crash on an empty panel split nor diverge from the
-     sequential result (empty products reduce to the beta scaling). *)
-  List.iter
-    (fun (m, n, k) ->
-      List.iter
-        (fun (transa, transb) ->
-          check_gemm_jobs_identical ~transa ~transb ~m ~n ~k rng)
-        all_transposes)
-    [ (1, 50, 20); (50, 1, 20); (3, 3, 1); (0, 5, 5); (5, 0, 5); (5, 5, 0) ]
-
-let qcheck_gemm_jobs_identical =
-  let gen =
-    QCheck2.Gen.(
-      pair
-        (triple (int_range 0 40) (int_range 0 40) (int_range 0 48))
-        (triple (int_range 2 8) bool bool))
-  in
-  Util.qtest "gemm ?jobs bit-identical on random shapes" ~count:60 gen
-    (fun ((m, n, k), (jobs, transa, transb)) ->
-      (* Operands derive deterministically from the generated shape so a
-         failure reproduces from the printed counterexample alone. *)
-      let rng =
-        Rng.create (1 + m + (41 * n) + (1681 * k) + (79_507 * jobs))
-      in
-      let a = if transa then Mat.init k m (fun _ _ -> Rng.gaussian rng)
-              else Mat.init m k (fun _ _ -> Rng.gaussian rng) in
-      let b = if transb then Mat.init n k (fun _ _ -> Rng.gaussian rng)
-              else Mat.init k n (fun _ _ -> Rng.gaussian rng) in
-      let c = Mat.init m n (fun _ _ -> Rng.gaussian rng) in
-      let reference = Mat.copy c in
-      Mat.gemm ~transa ~transb ~beta:1.0 ~jobs:1 a b reference;
-      let got = Mat.copy c in
-      Mat.gemm ~transa ~transb ~beta:1.0 ~jobs a b got;
-      got.Mat.data = reference.Mat.data)
-
-let test_gemm_ambient_jobs_scoped () =
-  (* [with_default_jobs] must set the ambient width only inside its
-     scope, and an ambient width must not change results. *)
-  Alcotest.(check int) "default ambient" 1 (Mat.default_jobs ());
-  let rng = Rng.create 28 in
-  let a = Mat.init 24 24 (fun _ _ -> Rng.gaussian rng) in
-  let b = Mat.init 24 24 (fun _ _ -> Rng.gaussian rng) in
-  let seq = Mat.zeros 24 24 in
-  Mat.gemm a b seq;
-  let amb =
-    Mat.with_default_jobs 4 (fun () ->
-        Alcotest.(check int) "ambient in scope" 4 (Mat.default_jobs ());
-        let c = Mat.zeros 24 24 in
-        Mat.gemm a b c;
-        c)
-  in
-  Alcotest.(check int) "ambient restored" 1 (Mat.default_jobs ());
-  Util.check_true "ambient width is bit-identical"
-    (amb.Mat.data = seq.Mat.data)
 
 (* ------------------------------------------------------------------ *)
 (* Scratch arena *)
@@ -497,13 +441,8 @@ let () =
           Util.case "rejects shape mismatch" test_gemm_rejects_mismatch;
           Util.case "matmul routes through gemm" test_mat_matmul_is_gemm;
           Util.case "in-place ops" test_mat_inplace_ops;
-        ] );
-      ( "gemm-jobs",
-        [
-          Util.case "bit-identical across jobs" test_gemm_jobs_bit_identical;
-          Util.case "degenerate shapes" test_gemm_jobs_degenerate_shapes;
-          qcheck_gemm_jobs_identical;
-          Util.case "ambient jobs scoped" test_gemm_ambient_jobs_scoped;
+          Util.case "degenerate shapes" test_gemm_degenerate_shapes;
+          qcheck_gemm_matches_naive;
         ] );
       ( "scratch",
         [

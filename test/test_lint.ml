@@ -3,7 +3,7 @@
    — has a known-bad file that must be flagged and a known-good twin
    that must stay clean, plus [@lint.allow] suppression, pass/rule
    filtering, --json round-trip, docs sync, and an annotation-strip
-   check against the real lib/parallel/kpool.ml. *)
+   check against the real lib/parallel/wqueue.ml. *)
 
 open Charon_lint
 
@@ -340,7 +340,7 @@ let test_docs_in_sync () =
   Alcotest.(check (list string))
     "docs/lint.md sections match --list-rules" registered documented
 
-(* --- stripping any kpool annotation reproduces a finding --- *)
+(* --- stripping any wqueue annotation reproduces a finding --- *)
 
 let write_file path s =
   let oc = open_out_bin path in
@@ -374,14 +374,14 @@ let race_attr_spans src =
   done;
   List.rev !spans
 
-let test_kpool_annotations_load_bearing () =
-  (* The real lib/parallel/kpool.ml is the flagship annotated module:
+let test_wqueue_annotations_load_bearing () =
+  (* The real lib/parallel/wqueue.ml, the region workers' shared queue:
      deleting any single [@race.*] annotation must reproduce at least
      one finding when the file is linted standalone, proving the
      annotations are machine-checked claims rather than decoration. *)
-  let src = read_file "../lib/parallel/kpool.ml" in
+  let src = read_file "../lib/parallel/wqueue.ml" in
   let spans = race_attr_spans src in
-  Util.check_true "kpool has race annotations" (List.length spans >= 4);
+  Util.check_true "wqueue has race annotations" (List.length spans >= 4);
   let tmp =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "charon_lint_strip_%d" (Unix.getpid ()))
@@ -395,13 +395,13 @@ let test_kpool_annotations_load_bearing () =
       let stripped =
         String.sub src 0 a ^ String.sub src b (String.length src - b)
       in
-      write_file (Filename.concat dir "kpool.ml") stripped;
+      write_file (Filename.concat dir "wqueue.ml") stripped;
       let r = Driver.lint ~root:tmp ~paths:[ "lib" ] () in
       Alcotest.(check (list (pair string string)))
-        "stripped kpool still parses" [] r.Driver.errors;
+        "stripped wqueue still parses" [] r.Driver.errors;
       if r.Driver.findings = [] then
         Alcotest.failf
-          "stripping kpool annotation %d (%s) produced no finding" k
+          "stripping wqueue annotation %d (%s) produced no finding" k
           (String.sub src a (b - a)))
     spans;
   if Sys.file_exists tmp then rm_rf tmp
@@ -436,8 +436,8 @@ let () =
           Util.case "race-captured-escape" test_race_captured_escape;
           Util.case "race-locked-caller" test_race_locked_caller;
           Util.case "race-bad-annotation" test_race_bad_annotation;
-          Util.case "kpool annotations load-bearing"
-            test_kpool_annotations_load_bearing;
+          Util.case "wqueue annotations load-bearing"
+            test_wqueue_annotations_load_bearing;
         ] );
       ( "suppression",
         [ Util.case "allow attribute" test_suppression ] );

@@ -241,6 +241,19 @@ let test_example_2_3_class_b_inside () =
     Alcotest.(check int) "class B on [0,1]^2" 1 (Nn.Network.classify net x)
   done
 
+let test_staircase_fixtures () =
+  (* The committed nets that CI and the docs feed to `charon serve` and
+     `charon dverify` must be exactly this constructor's. *)
+  List.iter
+    (fun d ->
+      let path = Printf.sprintf "fixtures/staircase-d%d.net" d in
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      Alcotest.(check string)
+        (path ^ " is Nn.Init.staircase")
+        (Nn.Serial.to_string (Nn.Init.staircase d))
+        text)
+    [ 3; 6 ]
+
 let test_network_dimension_check () =
   Alcotest.check_raises "mismatched layers"
     (Invalid_argument
@@ -548,6 +561,7 @@ let () =
           Util.case "forward trace" test_forward_trace_shape;
           Util.case "relu unit count" test_num_relu_units;
           Util.case "lipschitz bound" test_lipschitz_bound_holds;
+          Util.case "staircase fixtures" test_staircase_fixtures;
         ] );
       ( "grad",
         [

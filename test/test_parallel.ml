@@ -101,6 +101,51 @@ let test_wqueue_leftovers () =
   Util.check_true "closed" (Parallel.Wqueue.closed q);
   Util.check_true "nothing left to pop" (Parallel.Wqueue.pop q = None)
 
+let test_wqueue_close_wakes_blocked_pop () =
+  (* The cancellation path of a drain: a worker blocked on an empty
+     queue while a peer's item is still in flight must return [None]
+     once the queue is closed, although that item is never finished. *)
+  let q = Parallel.Wqueue.create () in
+  Parallel.Wqueue.push q ~priority:0.0 0;
+  (match Parallel.Wqueue.pop q with
+  | Some 0 -> ()
+  | _ -> Alcotest.fail "expected the root item");
+  let consumer = Domain.spawn (fun () -> Parallel.Wqueue.pop q) in
+  Unix.sleepf 0.02;
+  Parallel.Wqueue.close q;
+  Util.check_true "blocked pop returns None" (Domain.join consumer = None);
+  Alcotest.(check int) "root still in flight" 1 (Parallel.Wqueue.outstanding q)
+
+let test_wqueue_concurrent_tree_drain () =
+  (* The verifier's worker protocol on several domains: each popped
+     node pushes its children before [finish], and a worker stops at
+     its first [None].  Every node of a complete binary tree is visited
+     exactly once, and every worker returns once the tree is drained. *)
+  let nodes = (1 lsl 10) - 1 in
+  let hits = Array.init nodes (fun _ -> Atomic.make 0) in
+  let q = Parallel.Wqueue.create () in
+  Parallel.Wqueue.push q ~priority:0.0 0;
+  Parallel.Pool.run ~workers:workers_under_test (fun _ ->
+      let rec loop () =
+        match Parallel.Wqueue.pop q with
+        | None -> ()
+        | Some i ->
+            Atomic.incr hits.(i);
+            List.iter
+              (fun c ->
+                if c < nodes then
+                  Parallel.Wqueue.push q ~priority:(float_of_int c) c)
+              [ (2 * i) + 1; (2 * i) + 2 ];
+            Parallel.Wqueue.finish q;
+            loop ()
+      in
+      loop ());
+  Array.iteri
+    (fun i h -> Alcotest.(check int) (Printf.sprintf "node %d" i) 1 (Atomic.get h))
+    hits;
+  Alcotest.(check int) "nothing outstanding" 0 (Parallel.Wqueue.outstanding q);
+  Util.check_true "drained, not closed" (not (Parallel.Wqueue.closed q))
+
 (* ------------------------------------------------------------------ *)
 (* Cancel *)
 
@@ -139,61 +184,34 @@ let test_pool_run_reraises () =
       Parallel.Pool.run ~workers:(max 2 workers_under_test) (fun i ->
           if i = 1 then raise Boom))
 
-(* ------------------------------------------------------------------ *)
-(* Kpool: the persistent kernel-helper team *)
+let test_pool_single_worker_runs_inline () =
+  (* The sequential path spawns nothing: one worker, or one index,
+     runs on the calling domain, in index order. *)
+  let caller = (Domain.self () :> int) in
+  let on_caller = ref true in
+  let note () = if (Domain.self () :> int) <> caller then on_caller := false in
+  let ran = ref [] in
+  Parallel.Pool.run ~workers:1 (fun i ->
+      note ();
+      ran := i :: !ran);
+  Alcotest.(check (list int)) "run ~workers:1 calls worker 0" [ 0 ] !ran;
+  let order = ref [] in
+  Parallel.Pool.iter ~workers:1 5 (fun i ->
+      note ();
+      order := i :: !order);
+  Alcotest.(check (list int)) "iter ~workers:1 in index order"
+    [ 0; 1; 2; 3; 4 ] (List.rev !order);
+  Parallel.Pool.iter ~workers:workers_under_test 1 (fun _ -> note ());
+  Util.check_true "every call ran on the caller's domain" !on_caller
 
-let test_kpool_covers_tasks_exactly_once () =
-  let n = 64 in
-  let hits = Array.init n (fun _ -> Atomic.make 0) in
-  ignore
-    (Parallel.Kpool.run ~jobs:workers_under_test ~tasks:n (fun i ->
-         Atomic.incr hits.(i)));
-  Array.iteri
-    (fun i h ->
-      Alcotest.(check int) (Printf.sprintf "task %d" i) 1 (Atomic.get h))
-    hits
-
-let test_kpool_trivial_widths_run_inline () =
-  let ran = ref false in
-  Util.check_true "jobs=1 is the trivial case"
-    (Parallel.Kpool.run ~jobs:1 ~tasks:4 (fun _ -> ran := true));
-  Util.check_true "tasks ran" !ran;
-  Util.check_true "tasks=1 is the trivial case"
-    (Parallel.Kpool.run ~jobs:4 ~tasks:1 (fun _ -> ()))
-
-let test_kpool_nested_call_degrades_sequentially () =
-  (* A kernel call issued from inside a kernel task must not deadlock
-     or over-subscribe: the team is busy, so the inner call reports
-     [false] and runs inline on its own domain. *)
-  let inner_parallel = Atomic.make false in
-  let inner_ran = Array.init 8 (fun _ -> Atomic.make 0) in
-  ignore
-    (Parallel.Kpool.run ~jobs:2 ~tasks:2 (fun _ ->
-         if
-           Parallel.Kpool.run ~jobs:2 ~tasks:8 (fun i ->
-               Atomic.incr inner_ran.(i))
-         then Atomic.set inner_parallel true));
-  Util.check_true "inner call fell back to sequential"
-    (not (Atomic.get inner_parallel));
-  (* Degrading must not drop work: both nested rounds of 8 tasks ran. *)
-  Array.iteri
-    (fun i h ->
-      Alcotest.(check int) (Printf.sprintf "nested task %d" i) 2 (Atomic.get h))
-    inner_ran
-
-let test_kpool_reraises_task_exception () =
-  Alcotest.check_raises "task exception propagates" Boom (fun () ->
-      ignore
-        (Parallel.Kpool.run ~jobs:2 ~tasks:8 (fun i ->
-             if i = 3 then raise Boom)))
-
-let test_kpool_peak_stays_within_jobs () =
-  Parallel.Kpool.reset_peak ();
-  ignore
-    (Parallel.Kpool.run ~jobs:2 ~tasks:16 (fun _ -> Unix.sleepf 0.001));
-  Util.check_true
-    (Printf.sprintf "peak %d <= 2" (Parallel.Kpool.peak_participants ()))
-    (Parallel.Kpool.peak_participants () <= 2)
+let test_pool_iter_reraises () =
+  List.iter
+    (fun workers ->
+      Alcotest.check_raises
+        (Printf.sprintf "index exception propagates at %d workers" workers)
+        Boom (fun () ->
+          Parallel.Pool.iter ~workers 16 (fun i -> if i = 5 then raise Boom)))
+    [ 1; max 2 workers_under_test ]
 
 (* ------------------------------------------------------------------ *)
 (* Parallel verification: determinism and cancellation *)
@@ -386,64 +404,56 @@ let test_workers_validated () =
     (Invalid_argument "Verify.run: workers must be at least 1") (fun () ->
       ignore (outcome ~workers:0 ~seed:1 net prop))
 
-(* ------------------------------------------------------------------ *)
-(* Kernel-parallelism nesting policy (Verify.run + Mat.gemm ?jobs) *)
-
-let test_kernel_nesting_respects_domain_budget () =
-  (* A net wide enough that one layer's zonotope GEMM crosses the
-     kernel parallel-size threshold (2*128^3 flops >= Mat's 4e6-flop
-     floor), so a solo-in-flight verifier worker genuinely fans its
-     kernels out onto the Kpool team. *)
-  let dim = 128 in
-  (* A wide random hidden layer followed by a constant-margin output
-     layer (zero weights, biased logit): class 0 wins everywhere, so
-     the run must reach the analyzer and verify — a random dense net
-     would be refuted by PGD at the root, before any GEMM fans out. *)
-  let rng = Rng.create 91 in
-  let hidden =
-    Mat.init dim dim (fun _ _ -> Rng.gaussian rng /. sqrt (float_of_int dim))
-  in
-  let net =
-    Nn.Network.create ~input_dim:dim
-      [
-        Nn.Layer.affine hidden (Vec.zeros dim);
-        Nn.Layer.Relu;
-        Nn.Layer.affine (Mat.zeros 2 dim) [| 1.0; 0.0 |];
-      ]
-  in
-  let region =
-    Domains.Box.create
-      ~lo:(Array.make dim (-0.01))
-      ~hi:(Array.make dim 0.01)
-  in
-  let prop = Common.Property.create ~region ~target:0 () in
-  let run workers =
-    Charon.Verify.run
-      ~budget:(Common.Budget.of_steps 500)
-      ~workers ~rng:(Rng.create 91) ~policy:Charon.Policy.default net prop
-  in
-  let seq = run 1 in
-  Util.check_true "sequential run never fans out"
-    (seq.Charon.Verify.kernel_fanouts = 0);
-  Parallel.Kpool.reset_peak ();
+let test_regions_stay_within_workers () =
+  (* Region workers are the only parallelism: each region, kernels
+     included, is processed on the domain that popped it, so a run
+     computes on at most [workers] domains and never fans a kernel out.
+     [on_progress] fires once per region, on that region's domain. *)
+  let net, prop = nth_small_problem ~seed:142 37 in
   let workers = max 2 workers_under_test in
-  let par = run workers in
-  Alcotest.(check string)
-    "verdict matches sequential"
-    (verdict_kind seq.Charon.Verify.outcome)
-    (verdict_kind par.Charon.Verify.outcome);
-  (* The worker holding the only outstanding region re-spends the
-     worker budget on kernel jobs, so at least the root region fans
-     out... *)
-  Util.check_true "solo-in-flight worker fanned out"
-    (par.Charon.Verify.kernel_fanouts >= 1);
-  (* ...and the nesting policy keeps the total domain budget intact:
-     the kernel team never had more participants computing at once than
-     the [-j] width that Verify.run was given. *)
+  let lock = Mutex.create () in
+  let seen = Hashtbl.create 8 in
+  let calls = Atomic.make 0 in
+  let on_progress ~nodes:_ ~depth:_ =
+    Atomic.incr calls;
+    Mutex.lock lock;
+    Hashtbl.replace seen (Domain.self () :> int) ();
+    Mutex.unlock lock
+  in
+  let r =
+    Charon.Verify.run ~workers ~on_progress ~rng:(Rng.create 37)
+      ~policy:Charon.Policy.default net prop
+  in
+  Alcotest.(check string) "verified" "verified"
+    (verdict_kind r.Charon.Verify.outcome);
+  Alcotest.(check int) "one progress call per region" r.Charon.Verify.nodes
+    (Atomic.get calls);
   Util.check_true
-    (Printf.sprintf "peak kernel domains %d <= %d"
-       par.Charon.Verify.kernel_peak_domains workers)
-    (par.Charon.Verify.kernel_peak_domains <= workers)
+    (Printf.sprintf "%d domains <= %d workers" (Hashtbl.length seen) workers)
+    (Hashtbl.length seen <= workers);
+  Alcotest.(check int) "no kernel fan-out" 0 r.Charon.Verify.kernel_fanouts
+
+let test_cancel_token_stops_run () =
+  (* [cancel] is how the serving layer stops a job: a token fired while
+     the root region is being processed ends the run there, with
+     [Timeout], at any width. *)
+  let net, prop = nth_small_problem ~seed:142 37 in
+  List.iter
+    (fun workers ->
+      let cancel = Parallel.Cancel.create () in
+      let r =
+        Charon.Verify.run ~workers ~cancel
+          ~on_progress:(fun ~nodes:_ ~depth:_ -> Parallel.Cancel.cancel cancel)
+          ~rng:(Rng.create 37) ~policy:Charon.Policy.default net prop
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "cancelled at %d workers" workers)
+        "timeout"
+        (verdict_kind r.Charon.Verify.outcome);
+      Alcotest.(check int)
+        (Printf.sprintf "stopped at the root at %d workers" workers)
+        1 r.Charon.Verify.nodes)
+    (List.sort_uniq compare [ 1; workers_under_test ])
 
 (* ------------------------------------------------------------------ *)
 (* Parallel suite runner *)
@@ -500,6 +510,8 @@ let () =
           Util.case "finish overcall raises" test_wqueue_finish_overcall_raises;
           Util.case "blocking handoff" test_wqueue_blocking_handoff;
           Util.case "leftovers" test_wqueue_leftovers;
+          Util.case "close wakes blocked pop" test_wqueue_close_wakes_blocked_pop;
+          Util.case "concurrent tree drain" test_wqueue_concurrent_tree_drain;
         ];
       Util.suite "cancel" [ Util.case "token" test_cancel_token ];
       Util.suite "pool"
@@ -508,15 +520,9 @@ let () =
           Util.case "run spawns each worker once"
             test_pool_run_spawns_each_worker_once;
           Util.case "run re-raises" test_pool_run_reraises;
-        ];
-      Util.suite "kpool"
-        [
-          Util.case "covers tasks exactly once" test_kpool_covers_tasks_exactly_once;
-          Util.case "trivial widths run inline" test_kpool_trivial_widths_run_inline;
-          Util.case "nested call degrades sequentially"
-            test_kpool_nested_call_degrades_sequentially;
-          Util.case "re-raises task exception" test_kpool_reraises_task_exception;
-          Util.case "peak stays within jobs" test_kpool_peak_stays_within_jobs;
+          Util.case "single worker runs inline"
+            test_pool_single_worker_runs_inline;
+          Util.case "iter re-raises" test_pool_iter_reraises;
         ];
       Util.suite "verify-parallel"
         [
@@ -526,8 +532,9 @@ let () =
             test_paths_agree_random_problems;
           Util.case "starved budget times out" test_parallel_timeout_terminates;
           Util.case "workers validated" test_workers_validated;
-          Util.case "kernel nesting respects domain budget"
-            test_kernel_nesting_respects_domain_budget;
+          Util.case "regions stay within workers"
+            test_regions_stay_within_workers;
+          Util.case "cancel token stops the run" test_cancel_token_stops_run;
         ];
       Util.suite "runner-parallel"
         [ Util.case "jobs preserve order" test_run_suite_jobs_preserves_order ];

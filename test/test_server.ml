@@ -1,50 +1,22 @@
 (* Lifecycle tests for the charon-serve daemon (docs/serving.md): a
    real daemon on a temp Unix socket, driven through the real client.
 
-   The workload is the "staircase" network: inputs x in R^d over the
-   box [-1, 1.5]^d, hidden banks relu(x_i) and relu(x_i - 1), and
-
-     y_0 = sum_i (relu(x_i) - relu(x_i - 1))        y_1 = -eps
-
-   Each summand is the ramp min(relu(x_i), 1), so the margin
-   y_0 - y_1 is at least eps everywhere: the property always holds,
-   and PGD can never refute it (eps is far above delta).  But the
-   margin puts a NEGATIVE coefficient on the relu(x_i - 1) bank, so
-   both intervals (which forget that the two banks share x_i) and
-   zonotopes (whose crossing-ReLU relaxation is loose) underestimate
-   it by about d/2 on the full box — the proof only lands after
-   splitting essentially every input dimension, making verification
-   cost grow geometrically with d.  One family thus dials from
-   "instant" through "hundreds of milliseconds" to "effectively
+   The workload is the staircase network ({!Nn.Init.staircase}) over
+   the box [-1, 1.5]^d: class 0 wins by at least eps = 0.05
+   everywhere, so the property always holds and PGD can never refute
+   it (eps is far above delta), but the proof only lands after
+   splitting essentially every input dimension.  One family thus dials
+   from "instant" through "hundreds of milliseconds" to "effectively
    forever". *)
 
 open Linalg
 
 module J = Telemetry.Jsonw
 
-let eps = 0.05
-
-let staircase dim =
-  let w1 =
-    Mat.init (2 * dim) dim (fun r c ->
-        if r = c || r - dim = c then 1.0 else 0.0)
-  in
-  let b1 = Vec.init (2 * dim) (fun r -> if r < dim then 0.0 else -1.0) in
-  let w2 =
-    Mat.init 2 (2 * dim) (fun r c ->
-        if r = 1 then 0.0 else if c < dim then 1.0 else -1.0)
-  in
-  Nn.Network.create ~input_dim:dim
-    [
-      Nn.Layer.affine w1 b1;
-      Nn.Layer.Relu;
-      Nn.Layer.affine w2 [| 0.0; -.eps |];
-    ]
-
 let staircase_spec ?(name = "staircase") ?timeout ?max_steps ?(seed = 1) dim =
   {
     Server.Protocol.name;
-    network = Nn.Serial.to_string (staircase dim);
+    network = Nn.Serial.to_string (Nn.Init.staircase dim);
     box = Domains.Box.of_center_radius (Vec.create dim 0.25) 1.25;
     target = 0;
     delta = 1e-4;

@@ -29,28 +29,13 @@ let soak_seconds =
       | Some x when x > 0.0 -> x
       | _ -> 3.0)
 
-let eps = 0.05
-
-(* The staircase family from test_server.ml: difficulty dials with the
+(* The staircase family (Nn.Init.staircase): difficulty dials with the
    dimension, the property always holds. *)
-let staircase dim =
-  let w1 =
-    Mat.init (2 * dim) dim (fun r c ->
-        if r = c || r - dim = c then 1.0 else 0.0)
-  in
-  let b1 = Vec.init (2 * dim) (fun r -> if r < dim then 0.0 else -1.0) in
-  let w2 =
-    Mat.init 2 (2 * dim) (fun r c ->
-        if r = 1 then 0.0 else if c < dim then 1.0 else -1.0)
-  in
-  Nn.Network.create ~input_dim:dim
-    [
-      Nn.Layer.affine w1 b1;
-      Nn.Layer.Relu;
-      Nn.Layer.affine w2 [| 0.0; -.eps |];
-    ]
-
-let networks = [| Nn.Serial.to_string (staircase 3); Nn.Serial.to_string (staircase 5) |]
+let networks =
+  [|
+    Nn.Serial.to_string (Nn.Init.staircase 3);
+    Nn.Serial.to_string (Nn.Init.staircase 5);
+  |]
 
 let spec ~dim_idx ~delta_bump ~name =
   {
@@ -70,7 +55,7 @@ let spec ~dim_idx ~delta_bump ~name =
 let slow_spec i =
   {
     (spec ~dim_idx:1 ~delta_bump:0 ~name:(Printf.sprintf "pin-%d" i)) with
-    Server.Protocol.network = Nn.Serial.to_string (staircase 20);
+    Server.Protocol.network = Nn.Serial.to_string (Nn.Init.staircase 20);
     box = Domains.Box.of_center_radius (Vec.create 20 0.25) 1.25;
     delta = 1e-4 +. (1e-7 *. float_of_int i);
   }
