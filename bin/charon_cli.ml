@@ -862,13 +862,6 @@ let dverify_cmd =
     in
     Arg.(value & opt int 0 & info [ "splits" ] ~docv:"N" ~doc)
   in
-  let steps_arg =
-    let doc =
-      "Per-split transformer-step budget before a shard yields its \
-       frontier for escalation."
-    in
-    Arg.(value & opt int 20_000 & info [ "split-steps" ] ~docv:"N" ~doc)
-  in
   let worker_exe_arg =
     let doc =
       "Worker executable (defaults to this binary, re-executed as \
@@ -900,7 +893,7 @@ let dverify_cmd =
       value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE" ~doc)
   in
   let run () network target center radius box timeout delta seed workers
-      splits steps worker_exe crash_after trace_dir proofcache_persist
+      splits worker_exe crash_after trace_dir proofcache_persist
       stats_json trace stats =
     let spec =
       {
@@ -918,7 +911,6 @@ let dverify_cmd =
       {
         (Server.Coordinator.default_config ~workers) with
         Server.Coordinator.initial_splits = splits;
-        initial_steps = steps;
         trace_dir;
         proofcache_persist;
         crash_injection = Option.map (fun k -> (0, k)) crash_after;
@@ -949,10 +941,9 @@ let dverify_cmd =
               r.Server.Coordinator.elapsed workers;
             Format.printf
               "dverify stats: initial %d, dealt %d, stolen %d, reassigned \
-               %d, escalated %d, deaths %d, respawns %d@."
+               %d, deaths %d, respawns %d@."
               s.Server.Coordinator.initial_splits s.Server.Coordinator.dealt
               s.Server.Coordinator.stolen s.Server.Coordinator.reassigned
-              s.Server.Coordinator.escalated
               s.Server.Coordinator.worker_deaths
               s.Server.Coordinator.respawns;
             List.iter
@@ -979,8 +970,6 @@ let dverify_cmd =
                         Telemetry.Jsonw.Int s.Server.Coordinator.stolen );
                       ( "reassigned",
                         Telemetry.Jsonw.Int s.Server.Coordinator.reassigned );
-                      ( "escalated",
-                        Telemetry.Jsonw.Int s.Server.Coordinator.escalated );
                       ( "worker_deaths",
                         Telemetry.Jsonw.Int s.Server.Coordinator.worker_deaths
                       );
@@ -1016,9 +1005,9 @@ let dverify_cmd =
     Term.(
       const run $ logs_term $ network_arg $ target_arg $ center_arg
       $ radius_arg $ box_arg $ timeout_arg $ delta_arg $ seed_arg
-      $ dworkers_arg $ splits_arg $ steps_arg $ worker_exe_arg
-      $ crash_after_arg $ trace_dir_arg $ proofcache_persist_arg
-      $ stats_json_arg $ trace_arg $ stats_arg)
+      $ dworkers_arg $ splits_arg $ worker_exe_arg $ crash_after_arg
+      $ trace_dir_arg $ proofcache_persist_arg $ stats_json_arg $ trace_arg
+      $ stats_arg)
   in
   Cmd.v
     (Cmd.info "dverify"

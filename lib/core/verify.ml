@@ -534,9 +534,9 @@ let run ?(config = default_config) ?(budget = Common.Budget.unlimited ())
    rooted at some sub-box of the original property, entering the
    recursion at the depth that produced the sub-box so depth caps and
    canonical-partition keys line up with a single-process run.  It is
-   the search loop at one worker, with a stop hook for the budget
-   (per-shard, escalated by the coordinator across re-deals) and a
-   cooperative [yield] (the coordinator's work-stealing request).
+   the search loop at one worker, with a stop hook for an optional
+   budget and a cooperative [yield] (the coordinator's work-stealing
+   request).
    Stopping early is not an answer — the unexplored frontier travels
    back to the caller so no region's proof obligation is ever
    dropped. *)

@@ -117,7 +117,7 @@ val run :
     The unit of work of a charon-dverify shard: verify the subtree
     rooted at one sub-box of a property, with the ability to stop
     between regions and hand the unexplored frontier back to the
-    coordinator (for budget escalation or work-stealing). *)
+    coordinator (for work-stealing). *)
 
 type subtree_outcome =
   | Subtree_proved  (** every region of the subtree was proved *)

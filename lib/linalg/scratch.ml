@@ -41,24 +41,18 @@ let arena_key =
       { free = Hashtbl.create 16; words = 0; borrows = 0 })
 
 (* Global footprint accounting.  [global_words] sums every arena's
-   allocation; [highwater] is its CAS-max.  The telemetry counter
-   mirrors the high-water mark by adding only the winning delta, so
-   [Metrics.value c_highwater] equals the mark when telemetry is on;
-   both are updated on the (rare) allocation path only. *)
+   allocation; [highwater] is its CAS-max, updated on the (rare)
+   allocation path only. *)
 let global_words = Atomic.make 0 [@@race.atomic]
 
 let highwater = Atomic.make 0 [@@race.atomic]
-
-let c_highwater = Telemetry.Metrics.counter "kernel.scratch.highwater_words"
 
 let c_reuses = Telemetry.Metrics.counter "kernel.scratch.reuses"
 
 let rec raise_highwater v =
   let cur = Atomic.get highwater in
-  if v > cur then
-    if Atomic.compare_and_set highwater cur v then
-      Telemetry.Metrics.add c_highwater (v - cur)
-    else raise_highwater v
+  if v > cur && not (Atomic.compare_and_set highwater cur v) then
+    raise_highwater v
 
 let account arena n =
   arena.words <- arena.words + n;

@@ -19,8 +19,8 @@ val live_words : unit -> int
 
 val highwater_words : unit -> int
 (** Largest total footprint, in floats, ever reached across all
-    domains' arenas — the scratch-arena high-water-mark gauge, also
-    exported as the telemetry counter [kernel.scratch.highwater_words]. *)
+    domains' arenas since the process started, whether or not
+    telemetry is on (the [kernel] block of the serve stats reads it). *)
 
 val trim : unit -> unit
 (** Drop the calling domain's free buffers (long-lived servers,

@@ -45,8 +45,6 @@ let create ?(capacity = 256) ?store () =
     misses = Atomic.make 0;
   }
 
-let store t = t.store
-
 let key ~network ~(box : Domains.Box.t) ~target ~delta =
   let buf = Buffer.create (String.length network + 64) in
   Buffer.add_string buf network;

@@ -20,8 +20,6 @@ val create : ?capacity:int -> ?store:Store.t -> unit -> t
     findable in [store], if given).
     @raise Invalid_argument when [capacity < 1]. *)
 
-val store : t -> Store.t option
-
 val key :
   network:string -> box:Domains.Box.t -> target:int -> delta:float -> string
 (** Structural cache key.  [network] is the [Nn.Serial] text (floats

@@ -4,20 +4,19 @@
    The coordinator owns the problem: it cuts the input box into an
    initial pool of canonical splits (Domains.Partition cuts, so shard
    results keep canonical proof-cache keys), deals splits to workers
-   over [Protocol.Dist], and runs a small event loop driven by three
-   sources — per-worker reader domains (one blocking [Protocol.recv]
-   loop each), a 20 Hz timer tick (global wall budget, drain grace),
-   and the dealing logic itself.  Policy, in order:
+   over [Protocol.Dist], and runs a small event loop over one [Jobq]
+   mailbox fed by per-worker reader domains (one blocking
+   [Protocol.recv] loop each) and a 20 Hz timer tick (global wall
+   budget, drain grace).  Policy, in order:
 
-   - Deal: an idle worker gets the queue's front split.  Budgets are
-     per-split transformer-step counts; a split that comes back
-     [yielded/budget] is re-queued with its escalation bumped, and the
-     step budget grows geometrically with the escalation (Wu et al.'s
-     iterative deepening, so no shard ever wedges on one hard region
-     while others idle).
+   - Deal: an idle worker gets the queue's front split and works on it
+     until it is decided or stolen.
    - Steal: when the queue is empty and a worker sits idle, the
      longest-busy worker is asked to [steal]-yield its unexplored
-     frontier; the reclaimed splits are dealt to the idle workers.
+     frontier; the reclaimed splits go to the front of the queue and
+     are dealt to the idle workers.  Stealing is the only way work
+     comes back undecided, and it keeps a shard from wedging on one
+     hard region while others idle.
    - Refute: the first [refuted] settles the verdict and broadcasts
      cancel — under the same settle rule as the in-process search loop
      ([Common.Outcome.settle]): a refutation arriving while a
@@ -26,9 +25,9 @@
      re-queues its outstanding split — nothing is lost, because a
      split is only ever discharged by an explicit [proved]/[refuted]/
      [yielded] report.  Dead workers are respawned while there is work
-     left, up to a respawn budget so a crash-looping binary cannot spin
-     forever.  Verified requires every split proved: queue empty,
-     nothing assigned, nobody owed a report. *)
+     left, at most [workers] times over the run, so a crash-looping
+     binary cannot spin forever.  Verified requires every split
+     proved: queue empty, nothing assigned, nobody owed a report. *)
 
 module J = Telemetry.Jsonw
 module D = Protocol.Dist
@@ -39,8 +38,6 @@ let c_stolen = Telemetry.Metrics.counter "dverify.splits.stolen"
 
 let c_reassigned = Telemetry.Metrics.counter "dverify.splits.reassigned"
 
-let c_escalated = Telemetry.Metrics.counter "dverify.splits.escalated"
-
 let c_deaths = Telemetry.Metrics.counter "dverify.worker_deaths"
 
 let h_shard_wall = Telemetry.Metrics.histogram "dverify.shard.wall_ns"
@@ -48,11 +45,6 @@ let h_shard_wall = Telemetry.Metrics.histogram "dverify.shard.wall_ns"
 type config = {
   workers : int;
   initial_splits : int;  (* 0 = 4x workers *)
-  initial_steps : int;  (* per-split transformer budget at escalation 0 *)
-  escalation_factor : int;
-  max_escalations : int;
-  max_respawns : int;
-  drain_grace : float;  (* seconds before stragglers are SIGKILLed *)
   trace_dir : string option;
   proofcache_persist : string option;
   crash_injection : (int * int) option;
@@ -65,11 +57,6 @@ let default_config ~workers =
   {
     workers;
     initial_splits = 0;
-    initial_steps = 20_000;
-    escalation_factor = 4;
-    max_escalations = 16;
-    max_respawns = workers;
-    drain_grace = 5.0;
     trace_dir = None;
     proofcache_persist = None;
     crash_injection = None;
@@ -80,7 +67,7 @@ type stats = {
   dealt : int;
   stolen : int;
   reassigned : int;
-  escalated : int;
+  escalated : int;  (* always 0: splits come back only when stolen *)
   worker_deaths : int;
   respawns : int;
   handshake_rejects : int;
@@ -88,6 +75,10 @@ type stats = {
 }
 
 type result = { outcome : Common.Outcome.t; elapsed : float; stats : stats }
+
+(* Seconds a settled run waits for its workers to exit before
+   SIGKILLing the stragglers. *)
+let drain_grace = 5.0
 
 (* ------------------------------------------------------------------ *)
 (* Initial canonical partition: expand the box level by level, always
@@ -124,26 +115,10 @@ type event =
   | Died of int
   | Tick
 
-type mailbox = { m : Mutex.t; c : Condition.t; q : event Queue.t }
-[@@race.guarded_by "m"]
+let mb_push mb e = ignore (Jobq.push mb e)
 
-let mb_create () =
-  { m = Mutex.create (); c = Condition.create (); q = Queue.create () }
-
-let mb_push mb e =
-  Mutex.lock mb.m;
-  Queue.push e mb.q;
-  Condition.signal mb.c;
-  Mutex.unlock mb.m
-
-let mb_pop mb =
-  Mutex.lock mb.m;
-  while Queue.is_empty mb.q do
-    Condition.wait mb.c mb.m
-  done;
-  let e = Queue.pop mb.q in
-  Mutex.unlock mb.m;
-  e
+(* The mailbox is never closed, so [pop] always has an event. *)
+let mb_pop mb = Option.get (Jobq.pop mb)
 
 let reader ~slot ic mb =
   let rec loop () =
@@ -247,15 +222,15 @@ let run ~worker_cmd ?config (spec : Protocol.job_spec) =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let started = Unix.gettimeofday () in
-  let mb = mb_create () in
+  let mb = Jobq.create () in
   let timer = Ticker.start ~period:0.05 (fun () -> mb_push mb Tick) in
   (* --- main-loop state (single domain, never shared) --- *)
   let split_target =
     if cfg.initial_splits > 0 then cfg.initial_splits else 4 * cfg.workers
   in
   let initial = initial_partition spec.Protocol.box ~target:split_target in
-  let queue = ref (List.map (fun p -> (p, 0)) initial) in
-  let assigned : (int, D.pending * int * int) Hashtbl.t = Hashtbl.create 64 in
+  let queue = ref initial in
+  let assigned : (int, D.pending * int) Hashtbl.t = Hashtbl.create 64 in
   let workers : (int, wrk) Hashtbl.t = Hashtbl.create 8 in
   let next_sid = ref 0 in
   let next_slot = ref 0 in
@@ -265,7 +240,6 @@ let run ~worker_cmd ?config (spec : Protocol.job_spec) =
   let s_dealt = ref 0 in
   let s_stolen = ref 0 in
   let s_reassigned = ref 0 in
-  let s_escalated = ref 0 in
   let s_deaths = ref 0 in
   let s_respawns = ref 0 in
   let s_rejects = ref 0 in
@@ -302,18 +276,10 @@ let run ~worker_cmd ?config (spec : Protocol.job_spec) =
         (alive ())
     end
   in
-  let steps_for escalation =
-    (* 20k * 4^12 still fits comfortably in an int; beyond that the
-       budget is effectively unlimited anyway. *)
-    let rec pow acc n =
-      if n <= 0 then acc else pow (acc * cfg.escalation_factor) (n - 1)
-    in
-    pow cfg.initial_steps (min escalation 12)
-  in
-  let assign w (pending, escalation) =
+  let assign w pending =
     let sid = !next_sid in
     incr next_sid;
-    Hashtbl.replace assigned sid (pending, escalation, w.slot);
+    Hashtbl.replace assigned sid (pending, w.slot);
     w.state <- Busy sid;
     w.steal_sent <- false;
     w.busy_since <- Unix.gettimeofday ();
@@ -321,14 +287,7 @@ let run ~worker_cmd ?config (spec : Protocol.job_spec) =
     Telemetry.Metrics.incr c_dealt;
     send_safe w
       (D.to_worker_to_json
-         (D.Assign
-            {
-              sid;
-              box = pending.D.box;
-              depth = pending.D.depth;
-              max_steps = steps_for escalation;
-              seconds = None;
-            }))
+         (D.Assign { sid; box = pending.D.box; depth = pending.D.depth }))
   in
   let dispatch () =
     if unsettled () then
@@ -365,17 +324,12 @@ let run ~worker_cmd ?config (spec : Protocol.job_spec) =
   in
   let finish_split w sid ~wall =
     (match Hashtbl.find_opt assigned sid with
-    | Some (_, _, slot) when slot = w.slot -> Hashtbl.remove assigned sid
+    | Some (_, slot) when slot = w.slot -> Hashtbl.remove assigned sid
     | Some _ | None -> ());
     w.wall <- w.wall +. wall;
     Telemetry.Metrics.observe h_shard_wall (int_of_float (wall *. 1e9));
     (match w.state with Busy s when s = sid -> w.state <- Idle | _ -> ());
     w.steal_sent <- false
-  in
-  let requeue ~front items =
-    match items with
-    | [] -> ()
-    | _ :: _ -> if front then queue := items @ !queue else queue := !queue @ items
   in
   let after_report () =
     if unsettled () then begin
@@ -426,31 +380,13 @@ let run ~worker_cmd ?config (spec : Protocol.job_spec) =
             finish_split w sid ~wall;
             settle (Common.Outcome.Refuted witness)
         | D.Yielded { sid; reason; frontier; nodes = _; wall } ->
-            let escalation =
-              match Hashtbl.find_opt assigned sid with
-              | Some (_, e, _) -> e
-              | None -> 0
-            in
             finish_split w sid ~wall;
-            let items = List.map (fun p -> (p, escalation)) frontier in
             (match reason with
             | D.Stolen ->
-                let n = List.length items in
+                let n = List.length frontier in
                 s_stolen := !s_stolen + n;
                 Telemetry.Metrics.add c_stolen n;
-                requeue ~front:true items
-            | D.Budget ->
-                if escalation + 1 > cfg.max_escalations then
-                  settle Common.Outcome.Timeout
-                else begin
-                  let bumped = List.map (fun (p, e) -> (p, e + 1)) items in
-                  let n = List.length bumped in
-                  s_escalated := !s_escalated + n;
-                  Telemetry.Metrics.add c_escalated n;
-                  (* To the back: every other split gets its cheap try
-                     before anyone's expensive retry. *)
-                  requeue ~front:false bumped
-                end
+                queue := frontier @ !queue
             | D.Precision ->
                 (* A region no budget can decide — same verdict the
                    in-process search gives, same upgrade-on-refute
@@ -467,14 +403,14 @@ let run ~worker_cmd ?config (spec : Protocol.job_spec) =
         | Busy sid -> (
             w.wall <- w.wall +. (Unix.gettimeofday () -. w.busy_since);
             match Hashtbl.find_opt assigned sid with
-            | Some (pending, escalation, slot') when slot' = slot ->
+            | Some (pending, slot') when slot' = slot ->
                 (* The crashed worker's outstanding split goes back to
                    the front of the queue: this re-deal is the whole
                    crash-safety argument. *)
                 Hashtbl.remove assigned sid;
                 incr s_reassigned;
                 Telemetry.Metrics.incr c_reassigned;
-                requeue ~front:true [ (pending, escalation) ]
+                queue := pending :: !queue
             | Some _ | None -> ())
         | Greeting | Idle | Gone -> ());
         let premature = unsettled () in
@@ -491,7 +427,7 @@ let run ~worker_cmd ?config (spec : Protocol.job_spec) =
           if outstanding () = 0 then settle Common.Outcome.Verified
           else if
             (not w.rejected)
-            && !s_respawns < cfg.max_respawns
+            && !s_respawns < cfg.workers
             && List.length (alive ()) < cfg.workers
           then begin
             incr s_respawns;
@@ -555,7 +491,7 @@ let run ~worker_cmd ?config (spec : Protocol.job_spec) =
         | Tick ->
             if
               (not !killed)
-              && Unix.gettimeofday () -. !settled_at > cfg.drain_grace
+              && Unix.gettimeofday () -. !settled_at > drain_grace
             then begin
               killed := true;
               List.iter
@@ -597,7 +533,7 @@ let run ~worker_cmd ?config (spec : Protocol.job_spec) =
             dealt = !s_dealt;
             stolen = !s_stolen;
             reassigned = !s_reassigned;
-            escalated = !s_escalated;
+            escalated = 0;
             worker_deaths = !s_deaths;
             respawns = !s_respawns;
             handshake_rejects = !s_rejects;

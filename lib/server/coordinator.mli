@@ -4,28 +4,20 @@
 
     The coordinator cuts the input box into canonical initial splits
     ({!Domains.Partition} cuts, so shard results keep canonical
-    proof-cache keys), deals them to spawned worker processes, steals
-    unexplored splits back from slow shards, escalates per-split step
-    budgets geometrically (iterative deepening), broadcasts cancel the
-    moment any shard refutes, and — the crash-safety core — re-queues a
-    dead worker's outstanding split so a SIGKILLed worker never loses a
-    verdict.  [Verified] is returned only when every split has been
-    explicitly proved. *)
+    proof-cache keys), deals them to spawned worker processes, each of
+    which works on its split until it is decided, steals unexplored
+    splits back from busy shards when a worker sits idle, broadcasts
+    cancel the moment any shard refutes, and — the crash-safety core —
+    re-queues a dead worker's outstanding split so a SIGKILLed worker
+    never loses a verdict.  [Verified] is returned only when every
+    split has been explicitly proved.  Its events (worker messages,
+    deaths, timer ticks) arrive on one {!Jobq} mailbox. *)
 
 type config = {
   workers : int;  (** worker processes to spawn *)
   initial_splits : int;
       (** lower bound on initial canonical splits; [0] means
           [4 * workers] *)
-  initial_steps : int;
-      (** per-split transformer-step budget at escalation 0 *)
-  escalation_factor : int;
-      (** budget multiplier per re-deal of a budget-yielded split *)
-  max_escalations : int;
-      (** escalations after which the run settles [Timeout] *)
-  max_respawns : int;  (** replacement workers across the whole run *)
-  drain_grace : float;
-      (** seconds after settling before stragglers are SIGKILLed *)
   trace_dir : string option;
       (** write [worker-N.jsonl] telemetry traces here (and point each
           worker's [CHARON_WORKER_TRACE] at its file) *)
@@ -39,18 +31,17 @@ type config = {
 }
 
 val default_config : workers:int -> config
-(** 4x[workers] initial splits, 20k steps escalating 4x up to 16
-    times, [workers] respawns, 5 s drain grace, no traces, no shared
-    cache, no crash injection.  Raises [Invalid_argument] when
-    [workers < 1]. *)
+(** 4x[workers] initial splits, no traces, no shared cache, no crash
+    injection.  Raises [Invalid_argument] when [workers < 1]. *)
 
 type stats = {
   initial_splits : int;
   dealt : int;  (** splits handed to workers (incl. re-deals) *)
   stolen : int;  (** frontier entries reclaimed by steal requests *)
   reassigned : int;  (** outstanding splits re-queued off dead workers *)
-  escalated : int;  (** budget-yielded splits re-queued with a bigger
-                        budget *)
+  escalated : int;
+      (** always 0: splits come back only when stolen (kept for
+          readers of the old stats) *)
   worker_deaths : int;
       (** pre-verdict EOFs/kills observed (handshake rejects and
           orderly post-verdict drain exits not included) *)
@@ -68,17 +59,18 @@ val run :
     [worker_cmd] (argv; [worker_cmd.(0)] is the executable — typically
     the host binary re-executing itself with a worker flag).  The
     spec's [timeout] is the global wall budget; [max_steps] is ignored
-    (per-split budgets come from [config]).
+    (a split runs until it is decided or stolen).
 
     The verdict has [Verify.run] semantics: [Verified] iff every
     subregion was proved, [Refuted x] with a transport-exact witness
     the moment any shard finds one (upgrading a concurrent
-    Timeout/Unknown, never the reverse), [Timeout] on wall/escalation
+    Timeout/Unknown, never the reverse), [Timeout] on wall-budget
     exhaustion or when every worker has died with work left, [Unknown]
     when a shard hits a precision limit.  Worker crashes — including
     SIGKILL mid-split — never lose work: the dead worker's outstanding
-    split is re-dealt, and replacements are spawned up to
-    [config.max_respawns].
+    split is re-dealt, and up to [config.workers] replacements are
+    spawned over the run.  Once the verdict is settled, workers still
+    running after 5 s are SIGKILLed.
 
     @raise Failure when no worker ever passed the handshake (e.g. a
     protocol version mismatch rejected the whole fleet).

@@ -19,10 +19,11 @@
      queue age).
 
    Pushing with the defaults (one implicit lane) degenerates to the
-   old FIFO exactly, which is what the dverify worker mailbox still
-   uses.  Capacity bounds the *total* queued items across lanes;
-   [push] refuses with [`Busy] at the bound, which the scheduler turns
-   into a structured, retryable backpressure reject.
+   old FIFO exactly, which is what the dverify coordinator's event
+   mailbox and each worker's split mailbox use.  Capacity bounds the
+   *total* queued items across lanes; [push] refuses with [`Busy] at
+   the bound, which the scheduler turns into a structured, retryable
+   backpressure reject.
 
    Blocking discipline is unchanged: [pop] waits until an item arrives
    or the queue closes, and [close] is the only way a consumer sees
@@ -42,7 +43,6 @@ type 'a t = {
   lanes : (string, 'a lane) Hashtbl.t;
   order : string Queue.t;  (* lane creation order, for stable scans *)
   capacity : int;
-  aging_rate : float;  (* vtime units gained per second of head wait *)
   mutable vfloor : float;
   mutable total : int;
   mutable closed : bool;
@@ -51,17 +51,17 @@ type 'a t = {
 
 let default_tenant = "default"
 
-let create ?(capacity = max_int) ?(aging_rate = 0.05) () =
+(* vtime units a lane gains per second its head item waits. *)
+let aging_rate = 0.05
+
+let create ?(capacity = max_int) () =
   if capacity < 1 then invalid_arg "Jobq.create: capacity must be positive";
-  if not (Float.is_finite aging_rate) || aging_rate < 0.0 then
-    invalid_arg "Jobq.create: aging_rate must be non-negative";
   {
     mutex = Mutex.create ();
     wakeup = Condition.create ();
     lanes = Hashtbl.create 8;
     order = Queue.create ();
     capacity;
-    aging_rate;
     vfloor = 0.0;
     total = 0;
     closed = false;
@@ -110,7 +110,7 @@ let select t ~now =
       match Hashtbl.find_opt t.lanes tenant with
       | Some lane when not (Queue.is_empty lane.items) ->
           let enqueued, _ = Queue.peek lane.items in
-          let score = lane.vtime -. (t.aging_rate *. (now -. enqueued)) in
+          let score = lane.vtime -. (aging_rate *. (now -. enqueued)) in
           (match !best with
           | Some (s, _) when s <= score -> ()
           | _ -> best := Some (score, lane))

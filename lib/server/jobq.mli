@@ -4,9 +4,10 @@
     Items live in per-tenant lanes (FIFO within a lane); {!pop} serves
     lanes by weighted fair queueing (stride scheduling: a lane pays
     [1/weight] virtual time per item) with linear aging on the head
-    item's wait so no lane ever starves.  Pushing with the default
-    tenant and weight degenerates to a plain FIFO (the dverify worker
-    mailbox).
+    item's wait (0.05 virtual-time units per second) so no lane ever
+    starves.  Pushing with the default tenant and weight degenerates
+    to a plain FIFO: the dverify coordinator's event mailbox and each
+    worker's split mailbox.
 
     [Parallel.Wqueue] terminates its consumers when the outstanding
     work tree drains; this queue instead blocks consumers until the
@@ -15,13 +16,10 @@
 
 type 'a t
 
-val create : ?capacity:int -> ?aging_rate:float -> unit -> 'a t
+val create : ?capacity:int -> unit -> 'a t
 (** [capacity] (default unbounded) bounds total queued items across
-    all lanes — the daemon's backpressure limit.  [aging_rate]
-    (default 0.05) is the virtual-time credit a waiting lane gains per
-    second; higher values approach global FIFO, 0 is pure weighted
-    fair queueing.
-    @raise Invalid_argument on [capacity < 1] or negative rate. *)
+    all lanes — the daemon's backpressure limit.
+    @raise Invalid_argument on [capacity < 1]. *)
 
 val push : ?tenant:string -> ?weight:float -> 'a t -> 'a -> [ `Queued | `Busy | `Closed ]
 (** Enqueue one item on [tenant]'s lane ([weight] updates the lane's

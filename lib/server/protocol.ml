@@ -328,23 +328,17 @@ end
    rejected cleanly instead of hanging on an op it cannot parse. *)
 
 module Dist = struct
-  let version = 1
+  let version = 2
 
   type pending = { box : Domains.Box.t; depth : int }
 
   type to_worker =
     | Hello_ok of { version : int; job : job_spec; proofcache : string option }
-    | Assign of {
-        sid : int;
-        box : Domains.Box.t;
-        depth : int;
-        max_steps : int;
-        seconds : float option;
-      }
+    | Assign of { sid : int; box : Domains.Box.t; depth : int }
     | Steal
     | Cancel_all
 
-  type yield_reason = Budget | Stolen | Precision
+  type yield_reason = Stolen | Precision
 
   type from_worker =
     | Hello of { version : int; pid : int }
@@ -376,12 +370,10 @@ module Dist = struct
     { box = box_of_field "box" json; depth }
 
   let reason_to_string = function
-    | Budget -> "budget"
     | Stolen -> "stolen"
     | Precision -> "precision"
 
   let reason_of_string = function
-    | "budget" -> Budget
     | "stolen" -> Stolen
     | "precision" -> Precision
     | other -> bad "unknown yield reason %S" other
@@ -403,20 +395,14 @@ module Dist = struct
           (match proofcache with
           | Some path -> base @ [ ("proofcache", J.Str path) ]
           | None -> base)
-    | Assign { sid; box; depth; max_steps; seconds } ->
-        let base =
+    | Assign { sid; box; depth } ->
+        J.Obj
           [
             ("op", J.Str "split");
             ("sid", J.Int sid);
             ("box", box_to_json box);
             ("depth", J.Int depth);
-            ("max_steps", J.Int max_steps);
           ]
-        in
-        J.Obj
-          (match seconds with
-          | Some s -> base @ [ ("seconds", J.Float s) ]
-          | None -> base)
     | Steal -> J.Obj [ ("op", J.Str "steal") ]
     | Cancel_all -> J.Obj [ ("op", J.Str "cancel") ]
 
@@ -433,13 +419,7 @@ module Dist = struct
         let depth = int_field "depth" json in
         if depth < 0 then bad "split depth must be non-negative";
         Assign
-          {
-            sid = int_field "sid" json;
-            box = box_of_field "box" json;
-            depth;
-            max_steps = int_field "max_steps" json;
-            seconds = opt_field "seconds" J.to_float_opt json;
-          }
+          { sid = int_field "sid" json; box = box_of_field "box" json; depth }
     | Some "steal" -> Steal
     | Some "cancel" -> Cancel_all
     | Some other -> bad "unknown coordinator op %S" other

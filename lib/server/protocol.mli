@@ -131,23 +131,17 @@ module Dist : sig
     | Hello_ok of { version : int; job : job_spec; proofcache : string option }
         (** handshake accept: the job every split belongs to, plus an
             optional shared proof-cache journal path *)
-    | Assign of {
-        sid : int;
-        box : Domains.Box.t;
-        depth : int;
-        max_steps : int;
-        seconds : float option;
-      }  (** verify this split (op ["split"] on the wire) *)
+    | Assign of { sid : int; box : Domains.Box.t; depth : int }
+        (** verify this split (op ["split"] on the wire) until it is
+            decided or stolen *)
     | Steal  (** yield the current split's unexplored frontier back *)
     | Cancel_all  (** global cancel: stop and exit cleanly *)
 
   type yield_reason =
-    | Budget  (** the per-split budget ran out; frontier is re-dealt
-                  with an escalated budget *)
     | Stolen  (** answering a [Steal] *)
     | Precision
         (** a region hit a precision limit (depth cap / zero-width
-            split); harder budgets will not help *)
+            split); no amount of work will decide it *)
 
   type from_worker =
     | Hello of { version : int; pid : int }

@@ -8,10 +8,17 @@
    - A *run* is what a worker executes: one [Charon.Verify.run] over
      one verification question.  Distinct jobs asking the *same*
      question (same structural cache key) share one run — the first
-     submit creates it, duplicates *coalesce* onto it as followers via
-     the [Coalesce] index, and when the run settles every attached job
-     receives the verdict.  Burst traffic full of duplicated hard
-     queries pays for each question once, not once per client.
+     submit creates it, duplicates *coalesce* onto it as followers, and
+     when the run settles every attached job receives the verdict.
+     Burst traffic full of duplicated hard queries pays for each
+     question once, not once per client.
+
+   [runs] is the one in-flight index: question key -> the queued or
+   running run that answers it.  A run leaves it when it settles, when
+   its last attachment is cancelled, or when its sole attachment
+   cancels it mid-flight — then it winds down outside the index, its
+   token already flagged, so a fresh submit of the question starts a
+   new run and [shutdown] has nothing left to cancel in it.
 
    Runs are queued onto the priority-aged fair-share [Jobq] (one lane
    per tenant, weighted, aging so nobody starves) and drained by a
@@ -40,7 +47,7 @@
    attachment does the run itself get cancelled (cooperatively, if
    already claimed by a worker — the old single-tenant semantics).
 
-   Discipline: the job table, run table, coalesce index and per-tenant
+   Discipline: the job table, the in-flight index and the per-tenant
    counters are only touched with [mutex] held; per-run progress and
    the scheduler-wide tallies are atomics so polls never contend with
    workers. *)
@@ -89,9 +96,9 @@ and run = {
 type t = {
   mutex : Mutex.t;
   jobs : (int, job) Hashtbl.t;
-  runs : (int, run) Hashtbl.t;
+  runs : (string, run) Hashtbl.t;  (* question key -> queued or running run *)
+  mutable peak_runs : int;  (* high-water of [runs] *)
   queue : run Jobq.t;
-  coalesce : Coalesce.t;
   cache : Cache.t;
   store : Store.t option;
   proofcache : Charon.Proofcache.t;
@@ -120,6 +127,8 @@ let c_cancelled = Telemetry.Metrics.counter "serve.jobs.cancelled"
 let c_failed = Telemetry.Metrics.counter "serve.jobs.failed"
 
 let c_rejected = Telemetry.Metrics.counter "serve.jobs.rejected"
+
+let c_coalesced = Telemetry.Metrics.counter "serve.coalesced"
 
 let h_job_wall = Telemetry.Metrics.histogram "serve.job.wall"
 
@@ -164,46 +173,45 @@ let enter_flight t =
 let leave_flight t = ignore (Atomic.fetch_and_add t.in_flight (-1))
 
 (* ------------------------------------------------------------------ *)
-(* Job settlement (mutex held) *)
+(* Job settlement and the in-flight index (mutex held) *)
 
-let settle_cancelled t job =
+(* The one way a job leaves Queued/Running: [final] is its terminal
+   state, booked against its tenant and the scheduler-wide tallies.
+   Terminal jobs are left alone. *)
+let settle t job final =
   match job.state with
-  | Queued | Running ->
-      job.state <- Cancelled;
-      emit job "cancelled";
-      let c = tc t job.tname in
-      c.Tenant.cancelled <- c.Tenant.cancelled + 1;
-      c.Tenant.outstanding <- c.Tenant.outstanding - 1;
-      Atomic.incr t.n_cancelled;
-      Telemetry.Metrics.incr c_cancelled
   | Done _ | Cancelled | Failed _ -> ()
+  | Queued | Running ->
+      job.state <- final;
+      let c = tc t job.tname in
+      c.Tenant.outstanding <- c.Tenant.outstanding - 1;
+      let tally, metric =
+        match final with
+        | Done o ->
+            emit job (Common.Outcome.label o);
+            c.Tenant.completed <- c.Tenant.completed + 1;
+            (t.n_completed, c_completed)
+        | Cancelled ->
+            emit job "cancelled";
+            c.Tenant.cancelled <- c.Tenant.cancelled + 1;
+            (t.n_cancelled, c_cancelled)
+        | Failed _ | Queued | Running ->
+            emit job "failed";
+            c.Tenant.failed <- c.Tenant.failed + 1;
+            (t.n_failed, c_failed)
+      in
+      Atomic.incr tally;
+      Telemetry.Metrics.incr metric
 [@@race.locked "mutex"]
 
-let settle_done t job outcome ~wall =
-  match job.state with
-  | Queued | Running ->
-      job.state <- Done outcome;
-      job.wall <- wall;
-      emit job (Common.Outcome.label outcome);
-      let c = tc t job.tname in
-      c.Tenant.completed <- c.Tenant.completed + 1;
-      c.Tenant.outstanding <- c.Tenant.outstanding - 1;
-      Atomic.incr t.n_completed;
-      Telemetry.Metrics.incr c_completed
-  | Done _ | Cancelled | Failed _ -> ()
-[@@race.locked "mutex"]
-
-let settle_failed t job msg =
-  match job.state with
-  | Queued | Running ->
-      job.state <- Failed msg;
-      emit job "failed";
-      let c = tc t job.tname in
-      c.Tenant.failed <- c.Tenant.failed + 1;
-      c.Tenant.outstanding <- c.Tenant.outstanding - 1;
-      Atomic.incr t.n_failed;
-      Telemetry.Metrics.incr c_failed
-  | Done _ | Cancelled | Failed _ -> ()
+(* Drop [run]'s question from the in-flight index — only while the
+   index still maps it to [run]: a cancelled run winds down after a
+   newer run for the same question has registered, and must not
+   orphan it. *)
+let forget t run =
+  match Hashtbl.find_opt t.runs run.rkey with
+  | Some r when r.rid = run.rid -> Hashtbl.remove t.runs run.rkey
+  | Some _ | None -> ()
 [@@race.locked "mutex"]
 
 (* ------------------------------------------------------------------ *)
@@ -213,22 +221,23 @@ let finalize_run t run ~wall outcome =
   with_lock t (fun () ->
       if not run.finalized then begin
         run.finalized <- true;
-        Coalesce.finish t.coalesce run.rkey run.rid;
-        Hashtbl.remove t.runs run.rid;
-        let cancelled = Parallel.Cancel.cancelled run.rcancel in
-        (match outcome with
-        | Ok o when (not cancelled) && Common.Outcome.is_solved o ->
-            Cache.put t.cache run.rkey o ~cold_wall:wall
-        | Ok _ | Error _ -> ());
+        forget t run;
+        let final =
+          match outcome with
+          | Ok _ when Parallel.Cancel.cancelled run.rcancel -> Cancelled
+          | Ok o ->
+              if Common.Outcome.is_solved o then
+                Cache.put t.cache run.rkey o ~cold_wall:wall;
+              Done o
+          | Error msg -> Failed msg
+        in
         List.iter
           (fun jid ->
             match Hashtbl.find_opt t.jobs jid with
             | None -> ()
-            | Some job -> (
-                match outcome with
-                | Ok _ when cancelled -> settle_cancelled t job
-                | Ok o -> settle_done t job o ~wall
-                | Error msg -> settle_failed t job msg))
+            | Some job ->
+                job.wall <- wall;
+                settle t job final)
           run.attached;
         run.attached <- [];
         if run.claimed then leave_flight t
@@ -237,12 +246,10 @@ let finalize_run t run ~wall outcome =
 let run_job t run =
   let claimed =
     with_lock t (fun () ->
-        if run.finalized || run.attached = [] then begin
-          (* Every attachment was cancelled while the run sat queued
-             (the canceller finalized it); nothing left to compute. *)
-          Hashtbl.remove t.runs run.rid;
+        if run.finalized then
+          (* Every attachment was cancelled while the run sat queued,
+             or shutdown settled it; nothing left to compute. *)
           false
-        end
         else begin
           run.claimed <- true;
           let claim_at = now () in
@@ -332,8 +339,7 @@ let worker t _i =
 
 let create ?(workers = 4) ?(cache_capacity = 256)
     ?(proofcache_capacity = 65536) ?proofcache_persist ?store_path
-    ?(queue_capacity = 256) ?(aging_rate = 0.05) ?(tenants = Tenant.empty) ()
-    =
+    ?(queue_capacity = 256) ?(tenants = Tenant.empty) () =
   if workers < 1 then invalid_arg "Scheduler.create: workers must be positive";
   if queue_capacity < 1 then
     invalid_arg "Scheduler.create: queue_capacity must be positive";
@@ -343,8 +349,8 @@ let create ?(workers = 4) ?(cache_capacity = 256)
       mutex = Mutex.create ();
       jobs = Hashtbl.create 64;
       runs = Hashtbl.create 64;
-      queue = Jobq.create ~capacity:queue_capacity ~aging_rate ();
-      coalesce = Coalesce.create ();
+      peak_runs = 0;
+      queue = Jobq.create ~capacity:queue_capacity ();
       cache = Cache.create ~capacity:cache_capacity ?store ();
       store;
       (* One proof cache for the whole scheduler: every run threads it
@@ -481,111 +487,96 @@ let submit ?(tenant = Tenant.anonymous) t (spec : Protocol.job_spec) =
   Telemetry.Metrics.incr c_submitted;
   with_lock t (fun () ->
       let c = tc t tenant.Tenant.name in
-      if Jobq.closed t.queue then begin
+      let reject code ~retryable msg =
         Atomic.incr t.n_rejected;
         Telemetry.Metrics.incr c_rejected;
-        Protocol.reject ~code:"shutting_down" ~retryable:false
-          "server is shutting down"
-      end
+        Protocol.reject ~code ~retryable msg
+      in
+      (* An accepted job is outstanding until [settle]. *)
+      let accept () =
+        c.Tenant.accepted <- c.Tenant.accepted + 1;
+        c.Tenant.outstanding <- c.Tenant.outstanding + 1;
+        fresh_job t ~spec ~key ~tname:tenant.Tenant.name
+      in
+      if Jobq.closed t.queue then
+        reject "shutting_down" ~retryable:false "server is shutting down"
       else
         match Cache.get t.cache key with
         | Some (outcome, cold_wall) ->
-            (* Answered synchronously: never outstanding, never counts
-               against the quota. *)
-            let job = fresh_job t ~spec ~key ~tname:tenant.Tenant.name in
+            (* Answered synchronously: settled before the lock drops, so
+               never outstanding against the quota. *)
+            let job = accept () in
             job.from_cache <- true;
             job.cold_wall <- cold_wall;
-            job.state <- Done outcome;
-            emit job "cache_hit";
-            emit job (Common.Outcome.label outcome);
-            c.Tenant.accepted <- c.Tenant.accepted + 1;
             c.Tenant.cache_hits <- c.Tenant.cache_hits + 1;
-            c.Tenant.completed <- c.Tenant.completed + 1;
-            Atomic.incr t.n_completed;
-            Telemetry.Metrics.incr c_completed;
+            emit job "cache_hit";
+            settle t job (Done outcome);
             job_json job ~since:0
-        | None ->
+        | None -> (
             if
               tenant.Tenant.quota > 0
               && c.Tenant.outstanding >= tenant.Tenant.quota
             then begin
               c.Tenant.rejected_quota <- c.Tenant.rejected_quota + 1;
-              Atomic.incr t.n_rejected;
-              Telemetry.Metrics.incr c_rejected;
-              Protocol.reject ~code:"quota" ~retryable:true
+              reject "quota" ~retryable:true
                 (Printf.sprintf
                    "tenant %S has %d outstanding jobs (quota %d); retry \
                     after one settles"
                    tenant.Tenant.name c.Tenant.outstanding
                    tenant.Tenant.quota)
             end
-            else begin
-              match
-                Option.bind
-                  (Coalesce.find t.coalesce key)
-                  (Hashtbl.find_opt t.runs)
-              with
-              | Some run when not run.finalized ->
+            else
+              match Hashtbl.find_opt t.runs key with
+              | Some run ->
                   (* Identical question already in flight: attach as a
                      follower and ride the existing run. *)
-                  let job = fresh_job t ~spec ~key ~tname:tenant.Tenant.name in
+                  let job = accept () in
                   job.coalesced <- true;
                   job.run <- Some run;
                   run.attached <- run.attached @ [ job.id ];
-                  emit job
-                    (Printf.sprintf "coalesced_onto_run_%d" run.rid);
+                  emit job (Printf.sprintf "coalesced_onto_run_%d" run.rid);
                   if run.claimed then begin
                     job.state <- Running;
                     emit job "running";
                     Tenant.record_age c 0.0
                   end;
-                  Coalesce.attached t.coalesce;
-                  c.Tenant.accepted <- c.Tenant.accepted + 1;
                   c.Tenant.coalesced <- c.Tenant.coalesced + 1;
-                  c.Tenant.outstanding <- c.Tenant.outstanding + 1;
+                  Telemetry.Metrics.incr c_coalesced;
                   job_json job ~since:0
-              | Some _ | None -> (
-                  let job = fresh_job t ~spec ~key ~tname:tenant.Tenant.name in
+              | None -> (
+                  (* [accept] below gives the leader job this id. *)
                   let run =
                     {
-                      rid = job.id;
+                      rid = t.next_id;
                       rspec = spec;
                       rkey = key;
                       rcancel = Parallel.Cancel.create ();
-                      attached = [ job.id ];
+                      attached = [ t.next_id ];
                       claimed = false;
                       finalized = false;
                       r_nodes = Atomic.make 0;
                       r_depth = Atomic.make 0;
                     }
                   in
-                  job.run <- Some run;
                   match
                     Jobq.push ~tenant:tenant.Tenant.name
                       ~weight:tenant.Tenant.weight t.queue run
                   with
                   | `Queued ->
-                      Hashtbl.replace t.runs run.rid run;
-                      Coalesce.register t.coalesce key run.rid;
-                      c.Tenant.accepted <- c.Tenant.accepted + 1;
-                      c.Tenant.outstanding <- c.Tenant.outstanding + 1;
+                      let job = accept () in
+                      job.run <- Some run;
+                      Hashtbl.replace t.runs key run;
+                      t.peak_runs <- max t.peak_runs (Hashtbl.length t.runs);
                       job_json job ~since:0
                   | `Busy ->
-                      Hashtbl.remove t.jobs job.id;
                       c.Tenant.rejected_busy <- c.Tenant.rejected_busy + 1;
-                      Atomic.incr t.n_rejected;
-                      Telemetry.Metrics.incr c_rejected;
-                      Protocol.reject ~code:"busy" ~retryable:true
+                      reject "busy" ~retryable:true
                         (Printf.sprintf
                            "queue is full (%d runs); retry with backoff"
                            (Jobq.capacity t.queue))
                   | `Closed ->
-                      Hashtbl.remove t.jobs job.id;
-                      Atomic.incr t.n_rejected;
-                      Telemetry.Metrics.incr c_rejected;
-                      Protocol.reject ~code:"shutting_down" ~retryable:false
-                        "server is shutting down")
-            end)
+                      reject "shutting_down" ~retryable:false
+                        "server is shutting down")))
 
 let status t ~id ~since =
   with_lock t (fun () ->
@@ -602,7 +593,7 @@ let cancel t id =
           | (Done _ | Cancelled | Failed _), _ -> job_json job ~since:0
           | (Queued | Running), None ->
               (* Defensive: a live job always has a run. *)
-              settle_cancelled t job;
+              settle t job Cancelled;
               job_json job ~since:0
           | (Queued | Running), Some run ->
               let others = List.filter (fun j -> j <> id) run.attached in
@@ -611,11 +602,11 @@ let cancel t id =
                    cancel, exactly the single-tenant semantics.  The
                    verifier polls the token once per region and its
                    worker finalizes the run (and with it this job).
-                   Drop the coalesce entry now so a new identical
-                   submit starts a fresh run instead of attaching to a
-                   dying one. *)
+                   Forget the question now so a new identical submit
+                   starts a fresh run instead of attaching to a dying
+                   one. *)
                 Parallel.Cancel.cancel run.rcancel;
-                Coalesce.finish t.coalesce run.rkey run.rid;
+                forget t run;
                 emit job "cancel_requested";
                 job_json job ~since:0
               end
@@ -629,10 +620,9 @@ let cancel t id =
                 if others = [] && not run.finalized then begin
                   Parallel.Cancel.cancel run.rcancel;
                   run.finalized <- true;
-                  Coalesce.finish t.coalesce run.rkey run.rid;
-                  Hashtbl.remove t.runs run.rid
+                  forget t run
                 end;
-                settle_cancelled t job;
+                settle t job Cancelled;
                 job_json job ~since:0
               end))
 
@@ -666,9 +656,11 @@ let stats t =
           t.jobs;
         ( tenants_json t,
           Jobq.depths t.queue,
-          Coalesce.inflight_keys t.coalesce,
-          Coalesce.coalesced_total t.coalesce,
-          Coalesce.peak_inflight t.coalesce ))
+          Hashtbl.length t.runs,
+          Hashtbl.fold
+            (fun _ c n -> n + c.Tenant.coalesced)
+            t.tenant_counters 0,
+          t.peak_runs ))
   in
   let queued = Option.value ~default:0 (Hashtbl.find_opt states "queued") in
   let store_block =
@@ -757,19 +749,20 @@ let stats t =
 let shutdown t =
   let pool =
     with_lock t (fun () ->
-        (* Reject new work, settle everything still pending, and ask
-           running runs to stop at their next region poll. *)
+        (* Reject new work, settle everything still queued, and ask
+           running runs to stop at their next region poll.  A run that
+           left the index mid-flight was cancelled on the way out; its
+           worker settles it before the join below returns. *)
         Jobq.close t.queue;
         Hashtbl.iter
           (fun _ run ->
             Parallel.Cancel.cancel run.rcancel;
-            if not run.claimed && not run.finalized then begin
+            if not run.claimed then begin
               run.finalized <- true;
-              Coalesce.finish t.coalesce run.rkey run.rid;
               List.iter
                 (fun jid ->
                   match Hashtbl.find_opt t.jobs jid with
-                  | Some job -> settle_cancelled t job
+                  | Some job -> settle t job Cancelled
                   | None -> ())
                 run.attached;
               run.attached <- []
@@ -789,7 +782,3 @@ let shutdown t =
   Option.iter Store.close t.store
 
 let workers t = t.workers
-
-let proofcache t = t.proofcache
-
-let store t = t.store

@@ -19,7 +19,6 @@ val create :
   ?proofcache_persist:string ->
   ?store_path:string ->
   ?queue_capacity:int ->
-  ?aging_rate:float ->
   ?tenants:Tenant.t ->
   unit ->
   t
@@ -33,8 +32,7 @@ val create :
     verdicts are replayed from it on create and appended as runs solve
     new ones, so restarts answer old questions from disk).
     [queue_capacity] (default 256) bounds the run queue — submits
-    beyond it get a retryable code=["busy"] reject.  [aging_rate]
-    tunes the fair-share queue's anti-starvation term ({!Jobq.create}).
+    beyond it get a retryable code=["busy"] reject.
     [tenants] seeds the per-tenant accounting in config order.
     Returns immediately.
     @raise Invalid_argument when [workers < 1] or
@@ -72,7 +70,9 @@ val cancel : t -> int -> Telemetry.Jsonw.t
 val stats : t -> Telemetry.Jsonw.t
 (** Queue depth/capacity (total and per tenant), queued and in-flight
     (claimed-by-a-worker, so never above [workers]) and peak in-flight
-    run counts, per-state tallies, coalescing totals, the per-tenant
+    run counts, per-state tallies, the coalescing block (questions in
+    flight now and at peak, and followers attached — the sum of the
+    tenants' [coalesced] counts), the per-tenant
     accounting blocks (accepted/rejected/coalesced counts and
     queue-age mean/p95/max), verdict-cache, persistent-store and
     proof-cache statistics (each with a hit rate), and the non-zero
@@ -84,9 +84,3 @@ val shutdown : t -> unit
     cache and verdict store journals.  Idempotent. *)
 
 val workers : t -> int
-
-val proofcache : t -> Charon.Proofcache.t
-(** The scheduler-wide subregion proof cache (shared by all runs). *)
-
-val store : t -> Store.t option
-(** The persistent verdict store, when [store_path] was given. *)

@@ -131,7 +131,7 @@ let reader ic session =
   in
   loop ()
 
-let verify_split session ~sid ~box ~depth ~max_steps ~seconds =
+let verify_split session ~sid ~box ~depth =
   let spec = session.spec in
   Telemetry.Metrics.incr c_splits;
   let prop =
@@ -142,9 +142,8 @@ let verify_split session ~sid ~box ~depth ~max_steps ~seconds =
   let config =
     { Charon.Verify.default_config with Charon.Verify.delta = spec.Protocol.delta }
   in
-  let budget = Common.Budget.create ?seconds ~steps:max_steps () in
   let r =
-    Charon.Verify.run_subtree ~config ~budget ~cancel:session.cancel
+    Charon.Verify.run_subtree ~config ~cancel:session.cancel
       ~yield:(fun () -> Atomic.get session.steal)
       ?proofcache:session.proofcache ~root_depth:depth
       ~rng:(split_rng ~seed:spec.Protocol.seed box)
@@ -171,9 +170,16 @@ let verify_split session ~sid ~box ~depth ~max_steps ~seconds =
           wall;
         }
   | Charon.Verify.Subtree_yielded ->
-      let reason = if Atomic.get session.steal then D.Stolen else D.Budget in
+      (* Only a steal or the cancel stops a split short, and a
+         cancelled worker never reports. *)
       D.Yielded
-        { sid; reason; frontier; nodes = r.Charon.Verify.subtree_nodes; wall }
+        {
+          sid;
+          reason = D.Stolen;
+          frontier;
+          nodes = r.Charon.Verify.subtree_nodes;
+          wall;
+        }
 
 let session_loop oc session =
   let crash_after = crash_after () in
@@ -181,14 +187,14 @@ let session_loop oc session =
   let rec loop () =
     match Jobq.pop session.mailbox with
     | None -> exit_ok
-    | Some (D.Assign { sid; box; depth; max_steps; seconds }) ->
+    | Some (D.Assign { sid; box; depth }) ->
         incr assigns;
         (match crash_after with
         | Some k when !assigns > k ->
             (* Crash injection: die with this split outstanding. *)
             Unix.kill (Unix.getpid ()) Sys.sigkill
         | Some _ | None -> ());
-        let report = verify_split session ~sid ~box ~depth ~max_steps ~seconds in
+        let report = verify_split session ~sid ~box ~depth in
         if Parallel.Cancel.cancelled session.cancel then exit_ok
         else begin
           Protocol.send oc (D.from_worker_to_json report);

@@ -54,23 +54,21 @@ let staircase_spec ?(name = "staircase") ?(target = 0) ?timeout ?(seed = 1) dim
    artifacts; locally it is unset and no traces are written. *)
 let trace_dir = Sys.getenv_opt "CHARON_DVERIFY_TRACE_DIR"
 
-let config ?(workers = 2) ?initial_splits ?initial_steps ?crash_injection () =
+let config ?(workers = 2) ?initial_splits ?crash_injection () =
   let c = Server.Coordinator.default_config ~workers in
   {
     c with
     Server.Coordinator.initial_splits =
       Option.value initial_splits ~default:c.Server.Coordinator.initial_splits;
-    initial_steps =
-      Option.value initial_steps ~default:c.Server.Coordinator.initial_steps;
     crash_injection;
     trace_dir;
   }
 
 let self_worker = [| Sys.executable_name; "--charon-dverify-worker" |]
 
-let dverify ?workers ?initial_splits ?initial_steps ?crash_injection spec =
+let dverify ?workers ?initial_splits ?crash_injection spec =
   Server.Coordinator.run ~worker_cmd:self_worker
-    ~config:(config ?workers ?initial_splits ?initial_steps ?crash_injection ())
+    ~config:(config ?workers ?initial_splits ?crash_injection ())
     spec
 
 (* The single-process oracle the distributed verdict must match. *)
@@ -206,7 +204,8 @@ let test_worker_rejects_version () =
       | Some json -> (
           match D.from_worker_of_json json with
           | D.Hello { version; _ } ->
-              Alcotest.(check int) "worker speaks v1" D.version version
+              Alcotest.(check int) "worker speaks our version" D.version
+                version
           | _ -> Alcotest.fail "expected hello first")
       | None -> Alcotest.fail "worker closed without hello");
       (* A coordinator from the future: same op, incompatible version. *)
@@ -300,13 +299,9 @@ let test_crash_recovery () =
 let test_steal () =
   (* One initial split and two workers: the second worker can only ever
      get work by the coordinator stealing the first one's unexplored
-     frontier.  The per-split budget is effectively unlimited so the
-     only yield reason available is the steal itself. *)
+     frontier. *)
   let dim = 6 in
-  let r =
-    dverify ~initial_splits:1 ~initial_steps:10_000_000
-      (staircase_spec ~timeout:120.0 dim)
-  in
+  let r = dverify ~initial_splits:1 (staircase_spec ~timeout:120.0 dim) in
   let s = r.Server.Coordinator.stats in
   check_outcome "verdict with stealing" Common.Outcome.Verified
     r.Server.Coordinator.outcome;
@@ -314,21 +309,6 @@ let test_steal () =
     s.Server.Coordinator.initial_splits;
   Util.check_true "frontier entries were stolen"
     (s.Server.Coordinator.stolen >= 1)
-
-let test_escalation () =
-  (* A starvation-level initial budget forces Budget yields; the
-     coordinator must escalate geometrically until the proof lands
-     rather than giving up.  (Dim 6, not less: the canonical initial
-     partition alone makes smaller staircases provable in one analyze
-     call per shard, and nothing would ever yield.) *)
-  let dim = 6 in
-  let r =
-    dverify ~initial_steps:40 (staircase_spec ~timeout:120.0 dim)
-  in
-  check_outcome "verdict under escalation" Common.Outcome.Verified
-    r.Server.Coordinator.outcome;
-  Util.check_true "budgets were escalated"
-    (r.Server.Coordinator.stats.Server.Coordinator.escalated >= 1)
 
 (* The coordinator's timer: a stop must not wait out the period. *)
 let test_ticker_stops_mid_period () =
@@ -383,6 +363,5 @@ let () =
         [
           Alcotest.test_case "crash recovery" `Slow test_crash_recovery;
           Alcotest.test_case "steal" `Slow test_steal;
-          Alcotest.test_case "escalation" `Slow test_escalation;
         ] );
     ]

@@ -521,6 +521,17 @@ let test_shutdown_cancels_pending () =
   Server.Daemon.stop handle;
   Util.check_true "socket removed again" (not (Sys.file_exists socket))
 
+(* Poll [p] for up to 30 s. *)
+let await what p =
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  while (not (p ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.005
+  done;
+  Util.check_true what (p ())
+
+let sched_state s id =
+  jstr (Server.Scheduler.status s ~id ~since:0) [ "state" ]
+
 let test_cancelled_run_keeps_newer_coalesce_key () =
   (* Cancel run A while it executes, then ask the same question again:
      B starts a fresh run.  When A finally settles it must not drop
@@ -533,16 +544,7 @@ let test_cancelled_run_keeps_newer_coalesce_key () =
     ~finally:(fun () -> Server.Scheduler.shutdown s)
     (fun () ->
       let spec = staircase_spec 300 in
-      let state id =
-        jstr (Server.Scheduler.status s ~id ~since:0) [ "state" ]
-      in
-      let await what p =
-        let deadline = Unix.gettimeofday () +. 30.0 in
-        while (not (p ())) && Unix.gettimeofday () < deadline do
-          Unix.sleepf 0.005
-        done;
-        Util.check_true what (p ())
-      in
+      let state = sched_state s in
       let a = jint (Server.Scheduler.submit s spec) [ "id" ] in
       await "A running" (fun () -> String.equal (state a) "running");
       check_ok (Server.Scheduler.cancel s a);
@@ -554,6 +556,95 @@ let test_cancelled_run_keeps_newer_coalesce_key () =
         (not (Server.Client.terminal (state (jint b [ "id" ]))));
       let c = Server.Scheduler.submit s spec in
       Util.check_true "C coalesces onto B" (jbool c [ "coalesced" ]))
+
+let test_shutdown_settles_winding_down_run () =
+  (* Run A, cancelled mid-flight by its only job, winds down outside
+     the in-flight index; B, the fresh run for the same question,
+     waits behind it for the one worker, and C rides B.  The index
+     then holds B alone, which is all shutdown needs: it cancels B
+     (and with it C), and the pool join waits for A's worker to
+     settle A. *)
+  let s = Server.Scheduler.create ~workers:1 () in
+  let spec = staircase_spec 300 in
+  let state = sched_state s in
+  let a = jint (Server.Scheduler.submit s spec) [ "id" ] in
+  await "A running" (fun () -> String.equal (state a) "running");
+  check_ok (Server.Scheduler.cancel s a);
+  let b = Server.Scheduler.submit s spec in
+  Alcotest.(check string) "B is queued" "queued" (jstr b [ "state" ]);
+  Util.check_true "B is a fresh run" (not (jbool b [ "coalesced" ]));
+  let c = Server.Scheduler.submit s spec in
+  Util.check_true "C rides B" (jbool c [ "coalesced" ]);
+  let st = Server.Scheduler.stats s in
+  Alcotest.(check int)
+    "one question in flight" 1
+    (jint st [ "coalesce"; "inflight_keys" ]);
+  Alcotest.(check int)
+    "one follower" 1
+    (jint st [ "coalesce"; "coalesced_total" ]);
+  Server.Scheduler.shutdown s;
+  List.iter
+    (fun (name, id) ->
+      Alcotest.(check string) (name ^ " cancelled") "cancelled" (state id))
+    [ ("A", a); ("B", jint b [ "id" ]); ("C", jint c [ "id" ]) ]
+
+let test_coalesce_stats_after_burst () =
+  (* One worker, held by a slow run, while two tenants submit one
+     question six times: the first submit queues its run, the other
+     five ride it.  Once everything settles, nothing is in flight, and
+     the coalesced total is the tenants' counts summed. *)
+  let tenants =
+    Server.Tenant.of_json
+      (J.parse
+         {|{"tenants":[{"name":"alice","key":"ka"},{"name":"bob","key":"kb"}]}|})
+  in
+  let alice, bob =
+    match Server.Tenant.tenants tenants with
+    | [ a; b ] -> (a, b)
+    | _ -> Alcotest.fail "expected two tenants"
+  in
+  let s = Server.Scheduler.create ~workers:1 ~tenants () in
+  Fun.protect
+    ~finally:(fun () -> Server.Scheduler.shutdown s)
+    (fun () ->
+      let state = sched_state s in
+      let blocker =
+        jint (Server.Scheduler.submit ~tenant:alice s (staircase_spec 300))
+          [ "id" ]
+      in
+      await "blocker running" (fun () -> String.equal (state blocker) "running");
+      let burst =
+        List.init 6 (fun i ->
+            let tenant = if i mod 2 = 0 then alice else bob in
+            Server.Scheduler.submit ~tenant s (staircase_spec 3))
+      in
+      Alcotest.(check (list bool))
+        "all but the first coalesce"
+        [ false; true; true; true; true; true ]
+        (List.map (fun j -> jbool j [ "coalesced" ]) burst);
+      check_ok (Server.Scheduler.cancel s blocker);
+      List.iter
+        (fun j ->
+          let id = jint j [ "id" ] in
+          await "burst job done" (fun () -> String.equal (state id) "done"))
+        burst;
+      await "blocker cancelled" (fun () ->
+          String.equal (state blocker) "cancelled");
+      let st = Server.Scheduler.stats s in
+      Alcotest.(check int)
+        "nothing in flight" 0
+        (jint st [ "coalesce"; "inflight_keys" ]);
+      Util.check_true "a question was in flight"
+        (jint st [ "coalesce"; "peak_inflight_keys" ] >= 1);
+      let tenant_coalesced =
+        match jget st [ "tenants" ] with
+        | J.Arr ts -> List.fold_left (fun n t -> n + jint t [ "coalesced" ]) 0 ts
+        | _ -> Alcotest.fail "tenants must be an array"
+      in
+      Alcotest.(check int) "five followers" 5 tenant_coalesced;
+      Alcotest.(check int)
+        "the total is the tenants' sum" tenant_coalesced
+        (jint st [ "coalesce"; "coalesced_total" ]))
 
 (* A second daemon on a live daemon's TCP port: a clear Failure, and
    the Unix socket that start-up had already bound is closed and
@@ -601,6 +692,10 @@ let () =
           Util.case "shutdown cancels pending work" test_shutdown_cancels_pending;
           Util.case "a cancelled run keeps a newer run's coalescing"
             test_cancelled_run_keeps_newer_coalesce_key;
+          Util.case "shutdown settles a winding-down run"
+            test_shutdown_settles_winding_down_run;
+          Util.case "coalescing stats after a duplicate burst"
+            test_coalesce_stats_after_burst;
           Util.case "a busy port fails cleanly" test_busy_port;
         ] );
     ]
