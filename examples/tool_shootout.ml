@@ -2,9 +2,9 @@
    brightening-attack benchmarks — the §7 evaluation in miniature, on
    one trained network.
 
-   Tools: Charon (learned-policy and default), AI2 with two domains,
-   ReluVal, Reluplex (with and without LP presolve), and the
-   Charon+Reluplex portfolio of §9's future-work sketch.
+   Tools: Charon with the learned policy, AI2 with two domains,
+   ReluVal, Reluplex, and the Charon+Reluplex portfolio of §9's
+   future-work sketch.
 
    Run with:  dune exec examples/tool_shootout.exe *)
 
@@ -19,19 +19,6 @@ let () =
   Printf.printf "learning a verification policy...\n%!";
   let policy = Experiments.Training.learned_policy ~seed:2019 () in
 
-  let reluplex_presolve =
-    {
-      Experiments.Tool.name = "Reluplex+Presolve";
-      supports_conv = false;
-      can_falsify = true;
-      run =
-        (fun ~seed:_ net prop ~budget ->
-          (Reluplex.run
-             ~config:{ Reluplex.default_config with Reluplex.presolve = true }
-             ~budget net prop)
-            .Reluplex.outcome);
-    }
-  in
   let tools =
     [
       Experiments.Tool.charon ~policy ();
@@ -39,7 +26,6 @@ let () =
       Experiments.Tool.ai2 (Domains.Domain.powerset Domains.Domain.Zonotope_join_base 64);
       Experiments.Tool.reluval;
       Experiments.Tool.reluplex;
-      reluplex_presolve;
       Experiments.Tool.charon_then_reluplex ~policy ~split:0.5 ();
     ]
   in

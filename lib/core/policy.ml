@@ -13,15 +13,6 @@ type t =
 
 let num_params = (Select.domain_dim + Select.partition_dim) * Features.dim
 
-let of_theta ~theta_domain ~theta_partition =
-  if theta_domain.Mat.rows <> Select.domain_dim
-     || theta_domain.Mat.cols <> Features.dim then
-    invalid_arg "Policy.of_theta: bad domain-matrix shape";
-  if theta_partition.Mat.rows <> Select.partition_dim
-     || theta_partition.Mat.cols <> Features.dim then
-    invalid_arg "Policy.of_theta: bad partition-matrix shape";
-  Linear { theta_domain; theta_partition }
-
 let of_vector v =
   if Vec.dim v <> num_params then
     invalid_arg
@@ -68,23 +59,6 @@ let fixed_domain spec =
     {
       name = "fixed-" ^ Domain.to_string spec;
       domain = (fun _ -> spec);
-      split =
-        (fun input ->
-          let region = input.Features.region in
-          let d = Box.longest_dim region in
-          let center = Box.center region in
-          (d, center.(d)));
-    }
-
-let bisection =
-  Custom
-    {
-      name = "bisection";
-      domain =
-        (fun input ->
-          match default with
-          | Custom { domain; _ } -> domain input
-          | Linear _ -> assert false);
       split =
         (fun input ->
           let region = input.Features.region in

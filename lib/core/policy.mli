@@ -8,11 +8,6 @@
 
 type t
 
-val of_theta : theta_domain:Linalg.Mat.t -> theta_partition:Linalg.Mat.t -> t
-(** Linear policy [φ(θ · ρ(ι))].  [theta_domain] must be
-    [Select.domain_dim × Features.dim] and [theta_partition]
-    [Select.partition_dim × Features.dim]. *)
-
 val of_vector : Linalg.Vec.t -> t
 (** Policy from a flat parameter vector of length {!num_params}
     (row-major [theta_domain] followed by row-major [theta_partition]);
@@ -34,10 +29,6 @@ val default : t
 val fixed_domain : Domains.Domain.spec -> t
 (** Ablation policy: always the given domain, bisecting the longest
     dimension (a ReluVal-style static refinement strategy). *)
-
-val bisection : t
-(** Ablation policy: default domain choice but always bisect the longest
-    dimension (ignores [x*] when splitting). *)
 
 val choose_domain : t -> Features.input -> Domains.Domain.spec
 

@@ -17,6 +17,9 @@ let domain_of_vector v =
   let disjuncts = if k_raw < 1.0 /. 3.0 then 1 else if k_raw < 2.0 /. 3.0 then 2 else 4 in
   Domain.powerset base disjuncts
 
+(* The input dimension with the largest influence on the target score:
+   |∂N(xstar)_K/∂x_i| times the region's width in dimension [i], the
+   ReluVal-style influence measure of §6. *)
 let influence_dim (input : Features.input) =
   let g =
     Nn.Grad.grad_output input.Features.net ~x:input.Features.xstar

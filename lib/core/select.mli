@@ -16,12 +16,6 @@ val domain_of_vector : Linalg.Vec.t -> Domains.Domain.spec
 (** First component selects the base domain (interval below 0.5,
     zonotope above); second selects the disjunct count from {1, 2, 4}. *)
 
-val influence_dim : Features.input -> int
-(** The input dimension with the largest influence on the target score:
-    the magnitude of ∂N(xstar)_K/∂x_i times the region's width in
-    dimension [i] (the
-    ReluVal-style influence measure referenced in §6). *)
-
 val partition_of_vector : Features.input -> Linalg.Vec.t -> int * float
 (** [(dim, at)]: the split hyperplane [x_dim = at].  The first two
     components arbitrate between the longest dimension and the

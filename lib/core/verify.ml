@@ -4,14 +4,11 @@ let log_src = Logs.Src.create "charon.verify" ~doc:"Charon's decision procedure"
 
 module Log = (val Logs.src_log log_src)
 
-type strategy = Depth_first | Best_first
-
 type config = {
   delta : float;
   max_depth : int;
   pgd : Optim.Pgd.config;
   use_cex_search : bool;
-  strategy : strategy;
 }
 
 let default_config =
@@ -20,7 +17,6 @@ let default_config =
     max_depth = 60;
     pgd = { Optim.Pgd.default_config with early_stop = Some 1e-4 };
     use_cex_search = true;
-    strategy = Depth_first;
   }
 
 type report = {
@@ -208,7 +204,7 @@ let search_candidate ctx ~rng region =
    and on failure a policy-guided split (lines 8-12).  Returns the
    sub-regions still to be proven. *)
 let process ctx ~rng ~pnode region depth :
-    (Common.Outcome.t, (Box.t * int * float) list * pnode option) Either.t =
+    (Common.Outcome.t, (Box.t * int) list * pnode option) Either.t =
   let counters = ctx.ctrs in
   Atomic.incr counters.nodes;
   atomic_max counters.peak_depth depth;
@@ -374,8 +370,7 @@ let process ctx ~rng ~pnode region depth :
               in
               finish_span
                 (Either.Right
-                   ( [ (left, depth + 1, fstar); (right, depth + 1, fstar) ],
-                     child_pnode ))
+                   ([ (left, depth + 1); (right, depth + 1) ], child_pnode))
             end
       end
     end
@@ -383,10 +378,9 @@ let process ctx ~rng ~pnode region depth :
 
 (* The search loop: Algorithm 1's recursion as a priority worklist
    that [workers] domains drain ([Parallel.Pool.run] runs one worker
-   inline on the caller's domain).  Depth-first pops the deepest region
-   first; siblings share a depth and the left one is pushed first, so
-   one worker visits regions in the recursion's left-first order.
-   Best-first pops the region whose parent's PGD value is smallest.
+   inline on the caller's domain).  The deepest region pops first;
+   siblings share a depth and the left one is pushed first, so one
+   worker visits regions in the recursion's left-first order.
 
    A [Refuted]/[Timeout]/[Unknown] answer from any worker settles the
    result ([Common.Outcome.settle]) and cancels outstanding work;
@@ -418,11 +412,6 @@ let search ctx ~workers ~rng ~stop region ~depth =
     Atomic.set undecided (Some it);
     settle Common.Outcome.Timeout
   in
-  let priority ~depth ~fstar =
-    match ctx.cfg.strategy with
-    | Depth_first -> -.float_of_int depth
-    | Best_first -> fstar
-  in
   let item_rng parent =
     if workers = 1 then parent else Linalg.Rng.split parent
   in
@@ -445,9 +434,9 @@ let search ctx ~workers ~rng ~stop region ~depth =
             | Either.Left outcome -> settle outcome
             | Either.Right (children, child_pnode) ->
                 List.iter
-                  (fun (r, d, fstar) ->
+                  (fun (r, d) ->
                     Parallel.Wqueue.push queue
-                      ~priority:(priority ~depth:d ~fstar)
+                      ~priority:(-.float_of_int d)
                       {
                         region = r;
                         depth = d;
@@ -477,6 +466,33 @@ let search ctx ~workers ~rng ~stop region ~depth =
       )
   | Some outcome -> (outcome, [])
 
+(* The report of either entry point, read once the search has
+   returned and every worker has joined. *)
+let report_of ctx ~workers ~started outcome =
+  let c = ctx.ctrs in
+  {
+    outcome;
+    elapsed = Unix.gettimeofday () -. started;
+    nodes = Atomic.get c.nodes;
+    analyze_calls = Atomic.get c.analyze_calls;
+    pgd_calls = Atomic.get c.pgd_calls;
+    transformer_calls = Atomic.get c.transformer_calls;
+    peak_depth = Atomic.get c.peak_depth;
+    workers;
+    domains_used =
+      (* The lock is uncontended — it is taken anyway to keep the guard
+         discipline machine-checkable. *)
+      (Mutex.lock c.domains_mutex;
+       let used =
+         Hashtbl.fold (fun spec n acc -> (spec, n) :: acc) c.domains []
+       in
+       Mutex.unlock c.domains_mutex;
+       used);
+    cache_lookups = Atomic.get c.cache_lookups;
+    cache_hits = Atomic.get c.cache_hits;
+    kernel_fanouts = 0;
+  }
+
 let run ?(config = default_config) ?(budget = Common.Budget.unlimited ())
     ?(workers = 1) ?cancel ?on_progress ?proofcache ~rng ~policy net
     (prop : Common.Property.t) =
@@ -485,18 +501,12 @@ let run ?(config = default_config) ?(budget = Common.Budget.unlimited ())
   let ctx =
     make_ctx ~config ~budget ~cancel ~on_progress ~proofcache ~policy net prop
   in
-  let counters = ctx.ctrs in
   let outcome =
     Telemetry.Span.wrap "verify.run"
       ~attrs:(fun () ->
         [
           ("workers", Telemetry.Jsonw.Int workers);
-          ("nodes", Telemetry.Jsonw.Int (Atomic.get counters.nodes));
-          ("strategy",
-           Telemetry.Jsonw.Str
-             (match config.strategy with
-             | Depth_first -> "depth_first"
-             | Best_first -> "best_first"));
+          ("nodes", Telemetry.Jsonw.Int (Atomic.get ctx.ctrs.nodes));
         ])
       (fun () ->
         fst
@@ -504,28 +514,7 @@ let run ?(config = default_config) ?(budget = Common.Budget.unlimited ())
              ~stop:(fun () -> false)
              prop.Common.Property.region ~depth:0))
   in
-  {
-    outcome;
-    elapsed = Unix.gettimeofday () -. started;
-    nodes = Atomic.get counters.nodes;
-    analyze_calls = Atomic.get counters.analyze_calls;
-    pgd_calls = Atomic.get counters.pgd_calls;
-    transformer_calls = Atomic.get counters.transformer_calls;
-    peak_depth = Atomic.get counters.peak_depth;
-    workers;
-    domains_used =
-      (* Workers have all joined, so the lock is uncontended — it is
-         taken anyway to keep the guard discipline machine-checkable. *)
-      (Mutex.lock counters.domains_mutex;
-       let used =
-         Hashtbl.fold (fun spec n acc -> (spec, n) :: acc) counters.domains []
-       in
-       Mutex.unlock counters.domains_mutex;
-       used);
-    cache_lookups = Atomic.get counters.cache_lookups;
-    cache_hits = Atomic.get counters.cache_hits;
-    kernel_fanouts = 0;
-  }
+  report_of ctx ~workers ~started outcome
 
 (* ------------------------------------------------------------------ *)
 (* Resumable subtree verification (charon-dverify's worker unit).
@@ -540,24 +529,6 @@ let run ?(config = default_config) ?(budget = Common.Budget.unlimited ())
    Stopping early is not an answer — the unexplored frontier travels
    back to the caller so no region's proof obligation is ever
    dropped. *)
-
-type subtree_outcome =
-  | Subtree_proved
-  | Subtree_refuted of Linalg.Vec.t
-  | Subtree_unknown
-  | Subtree_yielded
-
-type subtree_report = {
-  subtree_outcome : subtree_outcome;
-  frontier : (Box.t * int) list;
-  subtree_nodes : int;
-  subtree_analyze_calls : int;
-  subtree_pgd_calls : int;
-  subtree_transformer_calls : int;
-  subtree_cache_lookups : int;
-  subtree_cache_hits : int;
-  subtree_elapsed : float;
-}
 
 let run_subtree ?(config = default_config)
     ?(budget = Common.Budget.unlimited ()) ?cancel ?(yield = fun () -> false)
@@ -577,20 +548,5 @@ let run_subtree ?(config = default_config)
     search ctx ~workers:1 ~rng ~stop prop.Common.Property.region
       ~depth:root_depth
   in
-  let c = ctx.ctrs in
-  {
-    subtree_outcome =
-      (match outcome with
-      | Common.Outcome.Verified -> Subtree_proved
-      | Common.Outcome.Refuted x -> Subtree_refuted x
-      | Common.Outcome.Unknown -> Subtree_unknown
-      | Common.Outcome.Timeout -> Subtree_yielded);
-    frontier = List.map (fun it -> (it.region, it.depth)) unexplored;
-    subtree_nodes = Atomic.get c.nodes;
-    subtree_analyze_calls = Atomic.get c.analyze_calls;
-    subtree_pgd_calls = Atomic.get c.pgd_calls;
-    subtree_transformer_calls = Atomic.get c.transformer_calls;
-    subtree_cache_lookups = Atomic.get c.cache_lookups;
-    subtree_cache_hits = Atomic.get c.cache_hits;
-    subtree_elapsed = Unix.gettimeofday () -. started;
-  }
+  ( report_of ctx ~workers:1 ~started outcome,
+    List.map (fun it -> (it.region, it.depth)) unexplored )

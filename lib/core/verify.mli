@@ -7,20 +7,6 @@
     (Theorems 5.2 and 5.4): given enough budget it terminates with either
     a proof or a δ-counterexample. *)
 
-val log_src : Logs.Src.t
-(** Logs source ["charon.verify"]: per-node traces at debug level,
-    refutations at info level. *)
-
-type strategy =
-  | Depth_first
-      (** pop the deepest pending region first, the left branch before
-          the right: Algorithm 1's recursion order *)
-  | Best_first
-      (** pop the pending region with the smallest parent PGD value
-          first (closest to violating the property); an
-          anytime-flavoured extension useful when hunting
-          counterexamples *)
-
 type config = {
   delta : float;
       (** δ of Eq. 4; refute as soon as [F(xstar) <= delta].  Must be
@@ -30,11 +16,10 @@ type config = {
   use_cex_search : bool;
       (** when false, skip PGD entirely (the RQ2 ablation); only the
           region center is checked as a candidate counterexample *)
-  strategy : strategy;
 }
 
 val default_config : config
-(** δ = 1e-4, depth 60, default PGD with early stop at δ, depth-first. *)
+(** δ = 1e-4, depth 60, default PGD with early stop at δ. *)
 
 type report = {
   outcome : Common.Outcome.t;
@@ -88,8 +73,9 @@ val run :
     all.
 
     The search is one loop over a priority worklist of regions, popped
-    in [config.strategy] order and drained by [workers] (default 1)
-    OCaml domains; one worker runs the same loop inline on the calling
+    deepest first and the left branch before the right (Algorithm 1's
+    recursion order), and drained by [workers] (default 1) OCaml
+    domains; one worker runs the same loop inline on the calling
     domain.  The first [Refuted]/[Timeout]/[Unknown] answer settles the
     run and cancels outstanding work — except that a [Refuted x] found
     while the run winds down replaces a settled [Timeout]/[Unknown]
@@ -119,34 +105,6 @@ val run :
     between regions and hand the unexplored frontier back to the
     coordinator (for work-stealing). *)
 
-type subtree_outcome =
-  | Subtree_proved  (** every region of the subtree was proved *)
-  | Subtree_refuted of Linalg.Vec.t
-      (** counterexample found; [F(x) <= delta] *)
-  | Subtree_unknown
-      (** a region hit a precision limit (depth cap or zero-width
-          split); refining harder will not help *)
-  | Subtree_yielded
-      (** stopped early — budget exhausted, [yield] asked, or [cancel]
-          fired; the undecided regions are in [frontier] *)
-
-type subtree_report = {
-  subtree_outcome : subtree_outcome;
-  frontier : (Domains.Box.t * int) list;
-      (** unexplored [(region, absolute depth)] pairs in pop order
-          (left-most first under [Depth_first]); non-empty only for
-          [Subtree_yielded].  Re-running each entry (at its recorded
-          depth) completes the original obligation — nothing is dropped
-          by stopping early. *)
-  subtree_nodes : int;
-  subtree_analyze_calls : int;
-  subtree_pgd_calls : int;
-  subtree_transformer_calls : int;
-  subtree_cache_lookups : int;
-  subtree_cache_hits : int;
-  subtree_elapsed : float;  (** seconds *)
-}
-
 val run_subtree :
   ?config:config ->
   ?budget:Common.Budget.t ->
@@ -158,7 +116,7 @@ val run_subtree :
   policy:Policy.t ->
   Nn.Network.t ->
   Common.Property.t ->
-  subtree_report
+  report * (Domains.Box.t * int) list
 (** The {!run} search loop at one worker, with a stop hook, over the
     subtree rooted at [prop.region], entering the recursion at
     [root_depth] (default 0): regions count against [config.max_depth]
@@ -167,9 +125,14 @@ val run_subtree :
     its sub-box explores bit-identical regions (with bit-identical cache
     keys) to a single-process run that descended to it.
 
-    The stop hook is polled once per popped region, *before* the region
-    is processed: [yield] returning [true], [budget] exhaustion or
-    [cancel] ends the loop with the pending regions — the popped one
-    first — in [frontier], so a shard interrupted for any reason loses
-    no proof obligation.  Raises [Invalid_argument] when [root_depth]
-    is negative. *)
+    Returns the same report as {!run} at one worker, and the unexplored
+    frontier: [(region, absolute depth)] pairs in pop order (left-most
+    first).  The stop hook is polled once per popped region, *before*
+    the region is processed: [yield] returning [true], [budget]
+    exhaustion or [cancel] ends the loop with outcome [Timeout] and the
+    pending regions — the popped one first — in the frontier, so a
+    shard interrupted for any reason loses no proof obligation;
+    re-running each entry at its recorded depth completes the original
+    obligation.  Every other outcome returns an empty frontier: after
+    [Unknown] no budget can decide the rest.  Raises [Invalid_argument]
+    when [root_depth] is negative. *)

@@ -24,6 +24,8 @@ let of_box box =
 
 let dim t = t.lo_w.Mat.rows
 
+(* The input space the forms refer to changes after an interval-hull
+   fallback. *)
 let forms_dim t = Box.dim t.box
 
 let form_min box w_row b =

@@ -14,7 +14,3 @@
     which the forms restart as the identity over the hull box. *)
 
 include Domain_sig.S
-
-val forms_dim : t -> int
-(** Dimension of the input space the current forms refer to (changes
-    after an interval-hull fallback). *)

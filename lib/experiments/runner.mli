@@ -10,14 +10,6 @@ type result = {
   time : float;  (** seconds spent on this benchmark *)
 }
 
-val run_one :
-  seed:int ->
-  timeout:float ->
-  Tool.t ->
-  Datasets.Suite.entry ->
-  Common.Property.t ->
-  result
-
 val run_suite :
   ?progress:(result -> unit) ->
   ?jobs:int ->

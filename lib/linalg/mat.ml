@@ -35,8 +35,6 @@ let of_rows rows =
 
 let row m i = Array.sub m.data (i * m.cols) m.cols
 
-let col m j = Array.init m.rows (fun i -> get m i j)
-
 let transpose m = init m.cols m.rows (fun i j -> get m j i)
 
 let check_same name a b =
@@ -523,8 +521,6 @@ let with_scratch rows cols f =
   if rows < 0 || cols < 0 then invalid_arg "Mat.with_scratch: negative dimension";
   Scratch.with_floats (rows * cols) (fun data -> f { rows; cols; data })
 
-let outer u v = init (Array.length u) (Array.length v) (fun i j -> u.(i) *. v.(j))
-
 let abs_row_sums m =
   Array.init m.rows (fun i ->
       let base = i * m.cols in
@@ -533,8 +529,6 @@ let abs_row_sums m =
         acc := !acc +. abs_float m.data.(base + j)
       done;
       !acc)
-
-let frobenius m = sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 m.data)
 
 let approx_equal ?(eps = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols
@@ -578,6 +572,7 @@ let solve_lower l b =
   done;
   x
 
+(* Solves [l^T x = b] by backward substitution. *)
 let solve_upper_from_lower_t l b =
   let n = l.rows in
   if Array.length b <> n then

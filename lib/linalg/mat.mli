@@ -26,8 +26,6 @@ val of_rows : float array array -> t
 
 val row : t -> int -> Vec.t
 
-val col : t -> int -> Vec.t
-
 val transpose : t -> t
 
 val add : t -> t -> t
@@ -75,13 +73,8 @@ val with_scratch : int -> int -> (t -> 'a) -> 'a
 val matmul : t -> t -> t
 (** [matmul a b] is [op-free gemm] into a fresh matrix: [a * b]. *)
 
-val outer : Vec.t -> Vec.t -> t
-(** [outer u v] is the rank-one matrix [u v^T]. *)
-
 val abs_row_sums : t -> Vec.t
 (** Vector of L1 norms of each row; used for interval propagation. *)
-
-val frobenius : t -> float
 
 val approx_equal : ?eps:float -> t -> t -> bool
 
@@ -96,9 +89,5 @@ val cholesky_solve : t -> Vec.t -> Vec.t
 
 val solve_lower : t -> Vec.t -> Vec.t
 (** Forward substitution with a lower-triangular matrix. *)
-
-val solve_upper_from_lower_t : t -> Vec.t -> Vec.t
-(** [solve_upper_from_lower_t l b] solves [l^T x = b] by backward
-    substitution, reading [l] as the transposed upper factor. *)
 
 val pp : Format.formatter -> t -> unit

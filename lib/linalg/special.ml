@@ -15,5 +15,3 @@ let erf x =
 let normal_pdf x = exp (-0.5 *. x *. x) /. sqrt (2.0 *. Float.pi)
 
 let normal_cdf x = 0.5 *. (1.0 +. erf (x /. sqrt 2.0))
-
-let log1p = Float.log1p

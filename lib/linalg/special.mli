@@ -9,6 +9,3 @@ val normal_pdf : float -> float
 
 val normal_cdf : float -> float
 (** Standard normal cumulative distribution function. *)
-
-val log1p : float -> float
-(** [log (1 + x)], accurate near zero. *)

@@ -13,7 +13,6 @@ type t = {
   all : decl array;
   by_file : (string, (string, int) Hashtbl.t) Hashtbl.t;
       (* file -> binding name -> did *)
-  file_decls : (string, int list) Hashtbl.t;  (* file -> dids, source order *)
   lib_of : (string, string) Hashtbl.t;  (* file -> dune library name *)
   module_file : (string * string, string) Hashtbl.t;
       (* (lib, Module) -> file *)
@@ -148,7 +147,6 @@ let build ~files ~libs =
          files)
   in
   let by_file = Hashtbl.create 64 in
-  let file_decls = Hashtbl.create 64 in
   Array.iter
     (fun d ->
       let tbl =
@@ -161,14 +159,8 @@ let build ~files ~libs =
       in
       (* Later bindings shadow earlier ones of the same name, matching
          the language's own scoping for references below them. *)
-      Hashtbl.replace tbl d.name d.did;
-      Hashtbl.replace file_decls d.file
-        (d.did
-        :: Option.value ~default:[] (Hashtbl.find_opt file_decls d.file)))
+      Hashtbl.replace tbl d.name d.did)
     all;
-  Hashtbl.filter_map_inplace
-    (fun _file dids -> Some (List.rev dids))
-    file_decls;
   let lib_of = Hashtbl.create 64 in
   let module_file = Hashtbl.create 64 in
   List.iter
@@ -190,7 +182,6 @@ let build ~files ~libs =
     {
       all;
       by_file;
-      file_decls;
       lib_of;
       module_file;
       lib_by_module;
@@ -232,10 +223,5 @@ let build ~files ~libs =
   t
 
 let decls t = Array.to_list t.all
-
-let decls_of_file t file =
-  match Hashtbl.find_opt t.file_decls file with
-  | Some dids -> List.map (fun i -> t.all.(i)) dids
-  | None -> []
 
 let reachable t d = t.is_reachable.(d.did)

@@ -43,8 +43,6 @@ val build :
 
 val decls : t -> decl list
 
-val decls_of_file : t -> string -> decl list
-
 (** Resolve a normalised identifier path as seen from [file]. *)
 val resolve : t -> file:string -> string list -> decl option
 

@@ -554,5 +554,3 @@ let all =
     catch_all_rule;
     printf_rule;
   ]
-
-let check_all ctx str = List.concat_map (fun r -> r.check ctx str) all

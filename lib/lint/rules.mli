@@ -26,7 +26,3 @@ type rule = {
     [domain-unsafe-global], [float-eq], [unsafe-array], [catch-all-exn],
     [printf-in-lib]. *)
 val all : rule list
-
-(** Run every rule on one file.  Findings are not yet
-    suppression-filtered and not sorted. *)
-val check_all : ctx -> Parsetree.structure -> Diagnostic.t list

@@ -30,9 +30,6 @@ val forward_trace : t -> Linalg.Vec.t -> Linalg.Vec.t array
 
 val num_layers : t -> int
 
-val num_parameters : t -> int
-(** Total count of trainable scalars (affine and conv weights/biases). *)
-
 val num_relu_units : t -> int
 (** Total width of all ReLU activations; the size of the case-split space
     explored by complete checkers. *)

@@ -10,8 +10,6 @@ let create net ~k =
 
 let network t = t.net
 
-let target_class t = t.k
-
 type point = {
   x : Vec.t;
   trace : Vec.t array;

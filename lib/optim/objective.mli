@@ -19,8 +19,6 @@ val create : Nn.Network.t -> k:int -> t
 
 val network : t -> Nn.Network.t
 
-val target_class : t -> int
-
 type point = private {
   x : Linalg.Vec.t;
   trace : Linalg.Vec.t array;  (** [Nn.Network.forward_trace] at [x] *)

@@ -70,5 +70,3 @@ let iter ~workers n f =
         in
         loop ())
   end
-
-let recommended_workers () = Domain.recommended_domain_count ()

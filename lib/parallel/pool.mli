@@ -13,7 +13,3 @@ val iter : workers:int -> int -> (int -> unit) -> unit
     once, sharing indices across at most [workers] domains via an atomic
     cursor.  Index-to-worker assignment is nondeterministic, so [f] must
     only write worker-private or per-index state. *)
-
-val recommended_workers : unit -> int
-(** [Domain.recommended_domain_count ()]: a sensible upper bound for
-    [workers] on this machine. *)

@@ -1,12 +1,8 @@
 open Domains
 
-type config = {
-  delta : float;
-  branch_on_first : bool;
-  presolve : bool;
-}
+type config = { delta : float }
 
-let default_config = { delta = 1e-4; branch_on_first = false; presolve = false }
+let default_config = { delta = 1e-4 }
 
 type report = {
   outcome : Common.Outcome.t;
@@ -56,54 +52,6 @@ let build_lp (enc : Encoding.t) decisions =
     enc.Encoding.relus;
   lp
 
-(* LP-based bound tightening: for every unstable unit, maximize and
-   minimize its pre-activation over the triangle relaxation and shrink
-   its interval bounds accordingly.  Sound because the relaxation
-   over-approximates the network's reachable set, and often stabilizes
-   units, shrinking the branching space (the MILP-style presolve the
-   related work of §8 describes). *)
-let tighten_bounds ~budget (enc : Encoding.t) =
-  let decisions =
-    Array.make (Array.length enc.Encoding.relus) Undecided
-  in
-  let bounds = Array.copy enc.Encoding.var_bounds in
-  let should_stop () = Common.Budget.exhausted budget in
-  (try
-     Array.iter
-       (fun (u : Encoding.relu_unit) ->
-         if u.Encoding.z_lo < 0.0 && u.Encoding.z_hi > 0.0 then begin
-           let solve sense =
-             let lp = build_lp enc decisions in
-             let obj = [ (u.Encoding.z, 1.0) ] in
-             match sense with
-             | `Max -> Simplex.Lp.maximize ~should_stop lp obj
-             | `Min -> Simplex.Lp.minimize ~should_stop lp obj
-           in
-           let lo, hi = bounds.(u.Encoding.z) in
-           let hi =
-             match solve `Max with
-             | Simplex.Lp.Optimal { value; _ } -> Float.min hi value
-             | Simplex.Lp.Infeasible | Simplex.Lp.Unbounded -> hi
-           in
-           let lo =
-             match solve `Min with
-             | Simplex.Lp.Optimal { value; _ } -> Float.max lo value
-             | Simplex.Lp.Infeasible | Simplex.Lp.Unbounded -> lo
-           in
-           bounds.(u.Encoding.z) <- (lo, hi);
-           bounds.(u.Encoding.a) <- (Float.max lo 0.0, Float.max hi 0.0)
-         end)
-       enc.Encoding.relus
-   with Simplex.Tableau.Aborted -> ());
-  let relus =
-    Array.map
-      (fun (u : Encoding.relu_unit) ->
-        let z_lo, z_hi = bounds.(u.Encoding.z) in
-        { u with Encoding.z_lo; z_hi })
-      enc.Encoding.relus
-  in
-  { enc with Encoding.var_bounds = bounds; relus }
-
 let run ?(config = default_config) ?(budget = Common.Budget.unlimited ()) net
     (prop : Common.Property.t) =
   let started = Unix.gettimeofday () in
@@ -120,7 +68,6 @@ let run ?(config = default_config) ?(budget = Common.Budget.unlimited ()) net
   match Encoding.build net prop.Common.Property.region with
   | exception Encoding.Unsupported _ -> finish Common.Outcome.Unknown 0
   | enc ->
-      let enc = if config.presolve then tighten_bounds ~budget enc else enc in
       let k = prop.Common.Property.target in
       let objective = Optim.Objective.create net ~k in
       let region = prop.Common.Property.region in
@@ -161,10 +108,7 @@ let run ?(config = default_config) ?(budget = Common.Budget.unlimited ()) net
                         abs_float
                           (x.(u.Encoding.a) -. Float.max 0.0 x.(u.Encoding.z))
                       in
-                      if config.branch_on_first then begin
-                        if !pick < 0 && viol > tol then pick := i
-                      end
-                      else if viol > !worst then begin
+                      if viol > !worst then begin
                         worst := viol;
                         pick := i
                       end

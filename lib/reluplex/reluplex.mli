@@ -17,17 +17,10 @@
 type config = {
   delta : float;  (** accept a candidate [x] as refutation when
                       [F(x) <= delta] *)
-  branch_on_first : bool;
-      (** ablation: branch on the first undecided unit instead of the
-          most-violated one *)
-  presolve : bool;
-      (** LP-based bound tightening of every unstable pre-activation
-          before branching (MILP-style presolve); often stabilizes
-          units at the cost of two LP solves per unstable unit *)
 }
 
 val default_config : config
-(** δ = 1e-4, most-violated branching, no presolve. *)
+(** δ = 1e-4. *)
 
 type report = {
   outcome : Common.Outcome.t;

@@ -1,12 +1,9 @@
 open Linalg
 open Domains
 
-type smear = Gradient_interval | Point_gradient
+type config = { delta : float; max_regions : int }
 
-type config = { delta : float; max_regions : int; smear : smear }
-
-let default_config =
-  { delta = 1e-4; max_regions = 1_000_000; smear = Gradient_interval }
+let default_config = { delta = 1e-4; max_regions = 1_000_000 }
 
 type report = {
   outcome : Common.Outcome.t;
@@ -129,16 +126,11 @@ let gradient_interval net region ~target =
   gradient_bounds steps ~output_dim:net.Nn.Network.output_dim ~target
 
 (* ReluVal's smear split heuristic: the input dimension with the
-   largest |gradient| * width product — gradient bounds over the whole
-   region by default, or the cheaper point gradient at the center. *)
-let smear_dim config net region steps ~target =
+   largest |gradient| * width product, the gradient bounded over the
+   whole region. *)
+let smear_dim net region steps ~target =
   let g =
-    match config.smear with
-    | Gradient_interval ->
-        gradient_bounds steps ~output_dim:net.Nn.Network.output_dim ~target
-    | Point_gradient ->
-        Vec.map abs_float
-          (Nn.Grad.grad_output net ~x:(Box.center region) ~k:target)
+    gradient_bounds steps ~output_dim:net.Nn.Network.output_dim ~target
   in
   let best = ref 0 and best_score = ref neg_infinity in
   for i = 0 to Vec.dim g - 1 do
@@ -180,7 +172,7 @@ let run ?(config = default_config) ?(budget = Common.Budget.unlimited ()) net
               Optim.Objective.value objective center <= config.delta
             in
             let split_region () =
-              let d = smear_dim config net region steps ~target in
+              let d = smear_dim net region steps ~target in
               if Box.width region d > 0.0 then begin
                 let a, b = Box.split region ~dim:d ~at:center.(d) in
                 loop ((a, depth + 1) :: (b, depth + 1) :: rest)

@@ -14,20 +14,13 @@
     There is no gradient-based counterexample search and no learned
     policy, which is exactly what §7.3/§7.4 compare Charon against. *)
 
-type smear =
-  | Gradient_interval
-      (** ReluVal's measure: interval gradient bounds over the whole
-          region (unstable ReLUs contribute the mask interval [0, 1]) *)
-  | Point_gradient  (** cheaper: the gradient at the region center *)
-
 type config = {
   delta : float;  (** concrete-witness acceptance threshold *)
   max_regions : int;  (** safety cap on worklist expansions *)
-  smear : smear;  (** split-dimension heuristic *)
 }
 
 val default_config : config
-(** δ = 1e-4, one million region expansions, interval-gradient smear. *)
+(** δ = 1e-4, one million region expansions. *)
 
 val gradient_interval :
   Nn.Network.t -> Domains.Box.t -> target:int -> Linalg.Vec.t

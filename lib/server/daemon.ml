@@ -387,6 +387,4 @@ let stop handle =
       ());
   wait handle
 
-let socket_path handle = handle.socket
-
 let tcp_port handle = handle.port

@@ -57,8 +57,6 @@ val stop : handle -> unit
     returns, no domain started by {!start} is still running and the
     socket file has been removed. *)
 
-val socket_path : handle -> string option
-
 val tcp_port : handle -> int option
 (** The actually-bound TCP port (resolves port 0 to the kernel's
     choice), when a TCP endpoint was requested. *)

@@ -147,6 +147,7 @@ let record_age c age =
   c.ages.(c.age_count mod age_ring) <- age;
   c.age_count <- c.age_count + 1
 
+(* Over the ring's current window; [samples] counts all ever recorded. *)
 type age_stats = { samples : int; mean : float; p95 : float; max : float }
 
 let age_stats c =

@@ -61,11 +61,5 @@ val record_age : counters -> float -> unit
 (** Push one queue-age sample (seconds a job waited before a worker
     claimed its run) into the tenant's fixed-size ring. *)
 
-type age_stats = { samples : int; mean : float; p95 : float; max : float }
-
-val age_stats : counters -> age_stats
-(** Over the ring's current window ({!record_age} keeps the most
-    recent 512 samples); [samples] counts all ever recorded. *)
-
 val counters_json : counters -> Telemetry.Jsonw.t
 (** The per-tenant stats block served by [{"op":"stats"}]. *)

@@ -142,44 +142,33 @@ let verify_split session ~sid ~box ~depth =
   let config =
     { Charon.Verify.default_config with Charon.Verify.delta = spec.Protocol.delta }
   in
-  let r =
+  let r, frontier =
     Charon.Verify.run_subtree ~config ~cancel:session.cancel
       ~yield:(fun () -> Atomic.get session.steal)
       ?proofcache:session.proofcache ~root_depth:depth
       ~rng:(split_rng ~seed:spec.Protocol.seed box)
       ~policy:Charon.Policy.default session.net prop
   in
-  Telemetry.Metrics.add c_regions r.Charon.Verify.subtree_nodes;
-  let wall = r.Charon.Verify.subtree_elapsed in
-  let frontier =
-    List.map
-      (fun (box, depth) -> { D.box; depth })
-      r.Charon.Verify.frontier
+  let nodes = r.Charon.Verify.nodes and wall = r.Charon.Verify.elapsed in
+  Telemetry.Metrics.add c_regions nodes;
+  let yielded reason =
+    D.Yielded
+      {
+        sid;
+        reason;
+        frontier = List.map (fun (box, depth) -> { D.box; depth }) frontier;
+        nodes;
+        wall;
+      }
   in
-  match r.Charon.Verify.subtree_outcome with
-  | Charon.Verify.Subtree_proved ->
-      D.Proved { sid; nodes = r.Charon.Verify.subtree_nodes; wall }
-  | Charon.Verify.Subtree_refuted x -> D.Refuted { sid; witness = x; wall }
-  | Charon.Verify.Subtree_unknown ->
-      D.Yielded
-        {
-          sid;
-          reason = D.Precision;
-          frontier;
-          nodes = r.Charon.Verify.subtree_nodes;
-          wall;
-        }
-  | Charon.Verify.Subtree_yielded ->
+  match r.Charon.Verify.outcome with
+  | Common.Outcome.Verified -> D.Proved { sid; nodes; wall }
+  | Common.Outcome.Refuted x -> D.Refuted { sid; witness = x; wall }
+  | Common.Outcome.Unknown -> yielded D.Precision
+  | Common.Outcome.Timeout ->
       (* Only a steal or the cancel stops a split short, and a
          cancelled worker never reports. *)
-      D.Yielded
-        {
-          sid;
-          reason = D.Stolen;
-          frontier;
-          nodes = r.Charon.Verify.subtree_nodes;
-          wall;
-        }
+      yielded D.Stolen
 
 let session_loop oc session =
   let crash_after = crash_after () in

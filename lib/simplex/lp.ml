@@ -23,8 +23,6 @@ let create ~nvars =
   if nvars <= 0 then invalid_arg "Lp.create: nvars must be positive";
   { n = nvars; lo = Array.make nvars 0.0; hi = Array.make nvars 0.0; rows = [] }
 
-let nvars t = t.n
-
 let set_bounds t i ~lo ~hi =
   if i < 0 || i >= t.n then invalid_arg "Lp.set_bounds: variable out of range";
   if not (Float.is_finite lo && Float.is_finite hi) then

@@ -15,8 +15,6 @@ val create : nvars:int -> t
 (** All variables start with bounds [\[0, 0\]]; set real bounds with
     {!set_bounds}. *)
 
-val nvars : t -> int
-
 val set_bounds : t -> int -> lo:float -> hi:float -> unit
 (** @raise Invalid_argument if [lo > hi] or either bound is not finite
     (the Reluplex encoding always has finite bounds from interval

@@ -52,6 +52,3 @@ val reset : unit -> unit
 
 val summary_table : unit -> string
 (** The aligned text table behind [charon --stats]. *)
-
-val pp_ns : int -> string
-(** Human-readable nanoseconds: ["1.2ms"], ["3.4us"], ... *)

@@ -142,40 +142,6 @@ let test_fgsm_moves_to_faces () =
   Util.check_vec "exact corner" [| 0.0; 1.0 |] x
 
 (* ------------------------------------------------------------------ *)
-(* MI-FGSM *)
-
-let test_mifgsm_stays_inside () =
-  Util.repeat ~seed:99 ~count:20 (fun rng _ ->
-      let net = Util.small_net rng in
-      let k = Rng.int rng net.Nn.Network.output_dim in
-      let obj = Optim.Objective.create net ~k in
-      let box = Util.small_box rng net.Nn.Network.input_dim in
-      let x, v = Optim.Mifgsm.attack_center obj box in
-      Util.check_true "inside" (Box.contains box x);
-      Util.check_close ~eps:1e-9 "value" (Optim.Objective.value obj x) v)
-
-let test_mifgsm_finds_known_counterexample () =
-  (* Start where the objective has a slope (F is flat below x = 1, so a
-     center start at 0.5 sees zero gradient and stays put — momentum is
-     not a global optimizer). *)
-  let net = Nn.Init.example_2_2 () in
-  let obj = Optim.Objective.create net ~k:1 in
-  let box = Box.create ~lo:[| -1.0 |] ~hi:[| 2.0 |] in
-  let _, v = Optim.Mifgsm.attack obj box ~from:[| 1.2 |] in
-  Util.check_true "found violation" (v <= 0.0)
-
-let test_mifgsm_no_worse_than_start () =
-  Util.repeat ~seed:100 ~count:20 (fun rng _ ->
-      let net = Util.small_net rng in
-      let k = Rng.int rng net.Nn.Network.output_dim in
-      let obj = Optim.Objective.create net ~k in
-      let box = Util.small_box rng net.Nn.Network.input_dim in
-      let start = Box.sample rng box in
-      let _, v = Optim.Mifgsm.attack obj box ~from:start in
-      Util.check_true "no worse than start"
-        (v <= Optim.Objective.value obj start +. 1e-9))
-
-(* ------------------------------------------------------------------ *)
 (* Pinned optimiser output.
 
    Every attack must return exactly these bits.  [Verify] branches on
@@ -255,7 +221,6 @@ let golden_rows () =
                 region);
            row "pgd-default"
              (Optim.Pgd.minimize ~rng:(Rng.create seed) obj region);
-           row "mifgsm" (Optim.Mifgsm.attack_center obj region);
            row "fgsm" (Optim.Fgsm.attack_center obj region);
          ])
        (golden_problems ()))
@@ -264,95 +229,72 @@ let golden_expected =
   [
     "pgd-verify/0 d9a8e3912a485701e2eb4994a7d99893";
     "pgd-default/0 d9a8e3912a485701e2eb4994a7d99893";
-    "mifgsm/0 9a880baf8a9a5c857f6443f14321d671";
     "fgsm/0 20e3f1e17bdfa45017aad29d73cc4e03";
     "pgd-verify/1 2b480744227bf8cde19b55e4e5241470";
     "pgd-default/1 2b480744227bf8cde19b55e4e5241470";
-    "mifgsm/1 9a143cf77ff5cefe935bbf62fdf6b0a8";
     "fgsm/1 ded83895bd086095d1112d520bd67659";
     "pgd-verify/2 cfdb87a0572b317567c015cbec335734";
     "pgd-default/2 cfdb87a0572b317567c015cbec335734";
-    "mifgsm/2 cfdb87a0572b317567c015cbec335734";
     "fgsm/2 cfdb87a0572b317567c015cbec335734";
     "pgd-verify/3 e290736534d2ab33377ee0f811e49c93";
     "pgd-default/3 e290736534d2ab33377ee0f811e49c93";
-    "mifgsm/3 550813bf24aa5d1fa37c383daffc7323";
     "fgsm/3 5745147ddb1c35acf8d9b4a1377c1ee3";
     "pgd-verify/4 113fa0e0fbcc88563f3ed0bc51fccda4";
     "pgd-default/4 113fa0e0fbcc88563f3ed0bc51fccda4";
-    "mifgsm/4 113fa0e0fbcc88563f3ed0bc51fccda4";
     "fgsm/4 113fa0e0fbcc88563f3ed0bc51fccda4";
     "pgd-verify/5 712f67684cfe46bb5c453c21fe90ae01";
     "pgd-default/5 712f67684cfe46bb5c453c21fe90ae01";
-    "mifgsm/5 712f67684cfe46bb5c453c21fe90ae01";
     "fgsm/5 712f67684cfe46bb5c453c21fe90ae01";
     "pgd-verify/6 e4c02ec6fa9c8c7b2e2f6c32c9cfc45f";
     "pgd-default/6 c2c4bc0c6231cee14afe496a40c7982b";
-    "mifgsm/6 ff9467808694a8718785301b980d4f5c";
     "fgsm/6 e28cab54930831fb196adeb4c2609eda";
     "pgd-verify/7 6e3585e0f0a990f4a611886daabfa13a";
     "pgd-default/7 1e9a88dddf4d63875c212c98a061d071";
-    "mifgsm/7 1e9a88dddf4d63875c212c98a061d071";
     "fgsm/7 1e9a88dddf4d63875c212c98a061d071";
     "pgd-verify/8 a850c16f45f5f90c7fb1c15ec78a8faa";
     "pgd-default/8 a850c16f45f5f90c7fb1c15ec78a8faa";
-    "mifgsm/8 9c366881c16b65e513a6b4e045527fe2";
     "fgsm/8 4f8fdd16a11576694743fb6f386af6df";
     "pgd-verify/9 d1738f82e6e5de2db2506270d45be5dd";
     "pgd-default/9 d1738f82e6e5de2db2506270d45be5dd";
-    "mifgsm/9 d1738f82e6e5de2db2506270d45be5dd";
     "fgsm/9 d1738f82e6e5de2db2506270d45be5dd";
     "pgd-verify/10 19b97ee3855d1e14a4843eb7a218177f";
     "pgd-default/10 19b97ee3855d1e14a4843eb7a218177f";
-    "mifgsm/10 19b97ee3855d1e14a4843eb7a218177f";
     "fgsm/10 19b97ee3855d1e14a4843eb7a218177f";
     "pgd-verify/11 0d621efaa0e777d37a75b79a9d3180b1";
     "pgd-default/11 0d621efaa0e777d37a75b79a9d3180b1";
-    "mifgsm/11 0d621efaa0e777d37a75b79a9d3180b1";
     "fgsm/11 0d621efaa0e777d37a75b79a9d3180b1";
     "pgd-verify/12 0edb27d057b99dcd91fb4dbc71800225";
     "pgd-default/12 0edb27d057b99dcd91fb4dbc71800225";
-    "mifgsm/12 0edb27d057b99dcd91fb4dbc71800225";
     "fgsm/12 0edb27d057b99dcd91fb4dbc71800225";
     "pgd-verify/13 c25f0c87c9c940cf46c1e9ce0512de2e";
     "pgd-default/13 c25f0c87c9c940cf46c1e9ce0512de2e";
-    "mifgsm/13 c25f0c87c9c940cf46c1e9ce0512de2e";
     "fgsm/13 c25f0c87c9c940cf46c1e9ce0512de2e";
     "pgd-verify/14 50d0febccedb915e612124ac11893b8e";
     "pgd-default/14 50d0febccedb915e612124ac11893b8e";
-    "mifgsm/14 37da3ba737fa82e0173d609753314fac";
     "fgsm/14 429f1b78fb8eb68f9c88c66097df834d";
     "pgd-verify/15 a5198ba2940099dbb897f310695668c9";
     "pgd-default/15 a5198ba2940099dbb897f310695668c9";
-    "mifgsm/15 5af3a8db57317ea7c71db74ebf0f9936";
     "fgsm/15 7b94d464c2569a9acdc08977a0ba0bfe";
     "pgd-verify/16 12d1499ebdd9ac8ac0dfef7d45cef427";
     "pgd-default/16 12d1499ebdd9ac8ac0dfef7d45cef427";
-    "mifgsm/16 12d1499ebdd9ac8ac0dfef7d45cef427";
     "fgsm/16 12d1499ebdd9ac8ac0dfef7d45cef427";
     "pgd-verify/17 fa5d72e7ab337b7912a8ff8e3ddcbab0";
     "pgd-default/17 fa5d72e7ab337b7912a8ff8e3ddcbab0";
-    "mifgsm/17 fa5d72e7ab337b7912a8ff8e3ddcbab0";
     "fgsm/17 fa5d72e7ab337b7912a8ff8e3ddcbab0";
     "pgd-verify/18 676ca40becfd64fba991709201ed6fd6";
     "pgd-default/18 676ca40becfd64fba991709201ed6fd6";
-    "mifgsm/18 676ca40becfd64fba991709201ed6fd6";
     "fgsm/18 676ca40becfd64fba991709201ed6fd6";
     "pgd-verify/19 db37fd9a1ad836e0d8784c25d11213f6";
     "pgd-default/19 8a7d773dd2736d3b0ec829ac635c7fc1";
-    "mifgsm/19 8a7d773dd2736d3b0ec829ac635c7fc1";
     "fgsm/19 8a7d773dd2736d3b0ec829ac635c7fc1";
     "pgd-verify/20 a2bf7d1ffdfb37d8f033fb6b053ed7cd";
     "pgd-default/20 a2bf7d1ffdfb37d8f033fb6b053ed7cd";
-    "mifgsm/20 f3382a7d60ed8b6ec32091a1842612e5";
     "fgsm/20 3785f8a22dfdb33859a8b1bd17a42504";
     "pgd-verify/21 ca308dcb6cfa5a1b790eb2582b667a4e";
     "pgd-default/21 d6b4f2207691ff6ebd8d8eb8fa26facd";
-    "mifgsm/21 e4198cce2a2f2817b605c536eaa44db6";
     "fgsm/21 59d06d8c29a2c821b670b16f6c70f7c8";
     "pgd-verify/22 b4b4710b906510a02743583ad42cc78b";
     "pgd-default/22 b4b4710b906510a02743583ad42cc78b";
-    "mifgsm/22 3fffbcf14ec0a6f48686040d105d405b";
     "fgsm/22 5d853faae3ad78e331133c3970ff3be7";
   ]
 
@@ -410,12 +352,6 @@ let () =
         [
           Util.case "stays inside region" test_fgsm_stays_inside;
           Util.case "reaches minimizing corner" test_fgsm_moves_to_faces;
-        ] );
-      ( "mifgsm",
-        [
-          Util.case "stays inside region" test_mifgsm_stays_inside;
-          Util.case "finds known counterexample" test_mifgsm_finds_known_counterexample;
-          Util.case "no worse than start" test_mifgsm_no_worse_than_start;
         ] );
       ( "pgd-golden",
         [

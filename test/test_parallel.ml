@@ -286,17 +286,16 @@ let resumed_subtree ~seed net (prop : Common.Property.t) =
           incr polls;
           !polls > 4
         in
-        let r =
+        let r, frontier =
           Charon.Verify.run_subtree ~budget ~yield ~root_depth:depth
             ~rng:(Rng.create seed) ~policy:Charon.Policy.default net
             (Common.Property.create ~region
                ~target:prop.Common.Property.target ())
         in
-        match r.Charon.Verify.subtree_outcome with
-        | Charon.Verify.Subtree_proved -> go rest
-        | Charon.Verify.Subtree_refuted x -> Common.Outcome.Refuted x
-        | Charon.Verify.Subtree_unknown -> Common.Outcome.Unknown
-        | Charon.Verify.Subtree_yielded -> go (r.Charon.Verify.frontier @ rest))
+        match r.Charon.Verify.outcome with
+        | Common.Outcome.Verified -> go rest
+        | Common.Outcome.Timeout -> go (frontier @ rest)
+        | (Common.Outcome.Refuted _ | Common.Outcome.Unknown) as o -> o)
   in
   go [ (prop.Common.Property.region, 0) ]
 
@@ -304,7 +303,7 @@ let test_paths_agree_random_problems () =
   (* Every path through the search loop on random problems just inside
      the decision boundary (by default the golden table's problems in
      test_charon.ml, several of whose trees split deeply): [run] at one
-     and several workers under both strategies, [run_subtree] resumed
+     and several workers, [run_subtree] resumed
      from its frontier until done, and [run] with a proof cache cold
      then warm.  Paths are compared pairwise under Outcome.agrees (a
      timeout is consistent with anything — the step budget is shared,
@@ -315,32 +314,22 @@ let test_paths_agree_random_problems () =
       let net, prop = Util.boundary_problem rng in
       let box = prop.Common.Property.region in
       let k = prop.Common.Property.target in
-      let run ?proofcache ~strategy ~workers () =
-        let config =
-          { Charon.Verify.default_config with Charon.Verify.strategy }
-        in
-        (Charon.Verify.run ~config ~budget:(Common.Budget.of_steps 20_000)
-           ~workers ?proofcache ~rng:(Rng.create i)
-           ~policy:Charon.Policy.default net prop)
+      let run ?proofcache ~workers () =
+        (Charon.Verify.run ~budget:(Common.Budget.of_steps 20_000) ~workers
+           ?proofcache ~rng:(Rng.create i) ~policy:Charon.Policy.default net
+           prop)
           .Charon.Verify.outcome
       in
       let cache = Charon.Proofcache.create () in
       let paths =
-        List.concat_map
-          (fun (name, strategy) ->
-            List.map
-              (fun workers ->
-                (Printf.sprintf "%s@%d" name workers, run ~strategy ~workers ()))
-              (List.sort_uniq compare [ 1; 2; workers_under_test ]))
-          [ ("dfs", Charon.Verify.Depth_first); ("bfs", Charon.Verify.Best_first) ]
+        List.map
+          (fun workers -> (Printf.sprintf "dfs@%d" workers, run ~workers ()))
+          (List.sort_uniq compare [ 1; 2; workers_under_test ])
         @ [
             ("subtree", resumed_subtree ~seed:i net prop);
-            ( "cache-cold",
-              run ~proofcache:cache ~strategy:Charon.Verify.Depth_first
-                ~workers:1 () );
+            ("cache-cold", run ~proofcache:cache ~workers:1 ());
             ( "cache-warm",
-              run ~proofcache:cache ~strategy:Charon.Verify.Depth_first
-                ~workers:workers_under_test () );
+              run ~proofcache:cache ~workers:workers_under_test () );
           ]
       in
       List.iter

@@ -151,28 +151,6 @@ let test_reluplex_unknown_on_maxpool () =
   Util.check_true "unknown"
     ((Reluplex.run net prop).Reluplex.outcome = Common.Outcome.Unknown)
 
-let test_reluplex_presolve_agrees () =
-  (* Presolve must not change verdicts, only (possibly) speed. *)
-  Util.repeat ~seed:137 ~count:6 (fun rng _ ->
-      let net = Util.random_dense rng [ 2; 5; 2 ] in
-      let box = Util.small_box rng 2 in
-      let k = Rng.int rng 2 in
-      let prop = Common.Property.create ~region:box ~target:k () in
-      let plain = (Reluplex.run net prop).Reluplex.outcome in
-      let with_presolve =
-        (Reluplex.run
-           ~config:{ Reluplex.default_config with Reluplex.presolve = true }
-           net prop)
-          .Reluplex.outcome
-      in
-      Util.check_true
-        (Printf.sprintf "verdicts agree (%s vs %s)"
-           (Common.Outcome.label plain)
-           (Common.Outcome.label with_presolve))
-        (Common.Outcome.agrees plain with_presolve
-        && Common.Outcome.is_solved plain
-           = Common.Outcome.is_solved with_presolve))
-
 let test_reluplex_respects_budget () =
   let rng = Rng.create 136 in
   let net = Util.random_dense rng [ 6; 24; 24; 3 ] in
@@ -202,7 +180,6 @@ let () =
           Util.case "agrees with sampling" test_reluplex_agrees_with_sampling;
           Util.case "agrees with charon" test_reluplex_completeness_vs_charon;
           Util.case "unknown on maxpool" test_reluplex_unknown_on_maxpool;
-          Util.case "presolve agrees" test_reluplex_presolve_agrees;
           Util.case "respects budget" test_reluplex_respects_budget;
         ] );
     ]

@@ -156,23 +156,6 @@ let test_gradient_interval_bounds_point_gradients () =
       dominates rng net;
       dominates rng (with_random_biases rng net))
 
-let test_point_gradient_smear_agrees_on_verdicts () =
-  (* The smear heuristic changes split order, never verdicts. *)
-  let config =
-    { Reluval.default_config with Reluval.smear = Reluval.Point_gradient }
-  in
-  Util.repeat ~seed:129 ~count:10 (fun rng _ ->
-      let net = Util.small_net rng in
-      let box = Util.small_box rng net.Nn.Network.input_dim in
-      let k = Rng.int rng net.Nn.Network.output_dim in
-      let prop = Common.Property.create ~region:box ~target:k () in
-      let budget () = Common.Budget.of_steps 2_000 in
-      let a = (Reluval.run ~budget:(budget ()) net prop).Reluval.outcome in
-      let b =
-        (Reluval.run ~config ~budget:(budget ()) net prop).Reluval.outcome
-      in
-      Util.check_true "agree" (Common.Outcome.agrees a b))
-
 let test_reluval_unknown_on_maxpool () =
   let rng = Rng.create 127 in
   let input = Nn.Shape.create ~channels:1 ~height:4 ~width:4 in
@@ -184,12 +167,12 @@ let test_reluval_unknown_on_maxpool () =
 (* ------------------------------------------------------------------ *)
 (* Pinned ReluVal runs.
 
-   Each row is one budgeted run under one smear mode: its outcome,
-   region count, peak depth and the digest of the witness bits.  The
-   problems are the 20 random ones test_charon's verify-golden draws,
-   plus a LeNet with average pooling, so the rows pin the symbolic
-   transformers, the conv and avgpool lowering, the margin test and
-   both split heuristics at once.  Every net here has zero biases.
+   Each row is one budgeted run: its outcome, region count, peak depth
+   and the digest of the witness bits.  The problems are the 20 random
+   ones test_charon's verify-golden draws, plus a LeNet with average
+   pooling, so the rows pin the symbolic transformers, the conv and
+   avgpool lowering, the margin test and the smear split heuristic at
+   once.  Every net here has zero biases.
    Seeds are fixed, not CHARON_TEST_SEED-overridable. *)
 
 let golden_problems () =
@@ -207,11 +190,8 @@ let golden_problems () =
      class 0 is refuted, which pins a witness. *)
   random @ [ lenet_problem (Nn.Network.classify lenet center); lenet_problem 0 ]
 
-let golden_row ~tag ~smear net prop =
-  let config = { Reluval.default_config with Reluval.smear } in
-  let r =
-    Reluval.run ~config ~budget:(Common.Budget.of_steps 300) net prop
-  in
+let golden_row ~tag net prop =
+  let r = Reluval.run ~budget:(Common.Budget.of_steps 300) net prop in
   let witness =
     match r.Reluval.outcome with
     | Common.Outcome.Refuted x ->
@@ -231,63 +211,35 @@ let golden_row ~tag ~smear net prop =
     r.Reluval.regions_analyzed r.Reluval.max_depth witness
 
 let golden_rows () =
-  List.concat
-    (List.mapi
-       (fun i (net, prop) ->
-         [
-           golden_row ~tag:(Printf.sprintf "interval/%d" i)
-             ~smear:Reluval.Gradient_interval net prop;
-           golden_row ~tag:(Printf.sprintf "point/%d" i)
-             ~smear:Reluval.Point_gradient net prop;
-         ])
-       (golden_problems ()))
+  List.mapi
+    (fun i (net, prop) ->
+      golden_row ~tag:(Printf.sprintf "interval/%d" i) net prop)
+    (golden_problems ())
 
 let golden_expected =
   [
     "interval/0 verified regions=167 depth=20 -";
-    "point/0 timeout regions=300 depth=21 -";
     "interval/1 verified regions=21 depth=8 -";
-    "point/1 verified regions=29 depth=8 -";
     "interval/2 verified regions=1 depth=0 -";
-    "point/2 verified regions=1 depth=0 -";
     "interval/3 timeout regions=300 depth=221 -";
-    "point/3 timeout regions=300 depth=222 -";
     "interval/4 verified regions=21 depth=6 -";
-    "point/4 verified regions=23 depth=6 -";
     "interval/5 timeout regions=300 depth=182 -";
-    "point/5 timeout regions=300 depth=181 -";
     "interval/6 timeout regions=300 depth=86 -";
-    "point/6 timeout regions=300 depth=25 -";
     "interval/7 timeout regions=300 depth=103 -";
-    "point/7 timeout regions=300 depth=109 -";
     "interval/8 verified regions=7 depth=3 -";
-    "point/8 verified regions=9 depth=4 -";
     "interval/9 verified regions=1 depth=0 -";
-    "point/9 verified regions=1 depth=0 -";
     "interval/10 verified regions=7 depth=3 -";
-    "point/10 verified regions=5 depth=2 -";
     "interval/11 verified regions=1 depth=0 -";
-    "point/11 verified regions=1 depth=0 -";
     "interval/12 verified regions=61 depth=13 -";
-    "point/12 verified regions=51 depth=13 -";
     "interval/13 falsified regions=1 depth=0 1ccfef3e0668500dbfcf1cbda692504a";
-    "point/13 falsified regions=1 depth=0 1ccfef3e0668500dbfcf1cbda692504a";
     "interval/14 timeout regions=300 depth=51 -";
-    "point/14 timeout regions=300 depth=46 -";
     "interval/15 verified regions=35 depth=7 -";
-    "point/15 verified regions=41 depth=8 -";
     "interval/16 verified regions=1 depth=0 -";
-    "point/16 verified regions=1 depth=0 -";
     "interval/17 verified regions=3 depth=1 -";
-    "point/17 verified regions=5 depth=2 -";
     "interval/18 verified regions=1 depth=0 -";
-    "point/18 verified regions=1 depth=0 -";
     "interval/19 timeout regions=300 depth=273 -";
-    "point/19 timeout regions=300 depth=273 -";
     "interval/20 verified regions=117 depth=7 -";
-    "point/20 verified regions=149 depth=8 -";
     "interval/21 falsified regions=4 depth=3 a7d293f787ea487d8c8f699caf3f829c";
-    "point/21 falsified regions=3 depth=2 7dc465412f9dc351d63feafce15ddd1b";
   ]
 
 let test_reluval_golden () =
@@ -310,7 +262,6 @@ let () =
           Util.case "sound on random nets" test_reluval_sound_on_random_nets;
           Util.case "respects budget" test_reluval_respects_budget;
           Util.case "gradient interval dominates" test_gradient_interval_bounds_point_gradients;
-          Util.case "smear variants agree" test_point_gradient_smear_agrees_on_verdicts;
           Util.case "unknown on maxpool" test_reluval_unknown_on_maxpool;
         ] );
       ( "reluval-golden",
