@@ -333,6 +333,48 @@ let test_verify_report_counters () =
   Util.check_true "transformer calls counted"
     (report.Charon.Verify.transformer_calls >= Nn.Network.num_layers net)
 
+(* A shard that yields hands back its pending regions deepest first,
+   the one pop order (Algorithm 1's depth-first recursion), each inside
+   the shard's region.  Yielding at the first poll hands back the root. *)
+let test_verify_subtree_frontier_deepest_first () =
+  let rec non_increasing = function
+    | a :: (b :: _ as rest) -> a >= b && non_increasing rest
+    | [ _ ] | [] -> true
+  in
+  Util.repeat ~seed:149 ~count:10 (fun rng i ->
+      let net, prop = Util.boundary_problem rng in
+      let root = prop.Common.Property.region in
+      List.iter
+        (fun k ->
+          let polls = ref 0 in
+          let yield () =
+            incr polls;
+            !polls > k
+          in
+          let r, frontier =
+            Charon.Verify.run_subtree ~yield ~rng:(Rng.create i)
+              ~policy:default_policy net prop
+          in
+          let depths = List.map snd frontier in
+          let shown = String.concat ";" (List.map string_of_int depths) in
+          match r.Charon.Verify.outcome with
+          | Common.Outcome.Timeout ->
+              Util.check_true "pending regions handed back" (frontier <> []);
+              if k = 0 then
+                Alcotest.(check string) "root only" "0" shown;
+              Util.check_true
+                (Printf.sprintf "depths [%s] deepest first" shown)
+                (non_increasing depths);
+              List.iter
+                (fun (box, _) ->
+                  Util.check_true "inside the root"
+                    (Box.contains root box.Box.lo && Box.contains root box.Box.hi))
+                frontier
+          | Common.Outcome.Verified | Common.Outcome.Refuted _
+          | Common.Outcome.Unknown ->
+              Alcotest.(check string) "no frontier" "" shown)
+        [ 0; 1; 3; 10 ])
+
 (* ------------------------------------------------------------------ *)
 (* Pinned one-worker search trees.
 
@@ -623,6 +665,8 @@ let () =
           Util.case "parallel settle keeps refutations"
             test_verify_settle_keeps_refutation;
           Util.case "report counters" test_verify_report_counters;
+          Util.case "subtree frontier deepest first"
+            test_verify_subtree_frontier_deepest_first;
         ] );
       ( "verify-golden",
         [

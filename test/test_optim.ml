@@ -118,6 +118,22 @@ let test_pgd_point_region () =
   Util.check_vec "returns the point" p x;
   Util.check_close ~eps:1e-9 "value at point" (Optim.Objective.value obj p) v
 
+let test_pgd_restarts_never_hurt () =
+  (* The first restart starts at the region center and draws nothing
+     from [rng], so a one-restart run is the first restart of a
+     five-restart run: the extra restarts can only keep or lower the
+     best value. *)
+  Util.repeat ~seed:99 ~count:20 (fun rng i ->
+      let net = Util.small_net rng in
+      let k = Rng.int rng net.Nn.Network.output_dim in
+      let obj = Optim.Objective.create net ~k in
+      let box = Util.small_box rng net.Nn.Network.input_dim in
+      let best restarts =
+        let config = { Optim.Pgd.default_config with Optim.Pgd.restarts } in
+        snd (Optim.Pgd.minimize ~config ~rng:(Rng.create i) obj box)
+      in
+      Util.check_true "five restarts no worse than one" (best 5 <= best 1))
+
 (* ------------------------------------------------------------------ *)
 (* FGSM *)
 
@@ -140,6 +156,27 @@ let test_fgsm_moves_to_faces () =
   let x, _ = Optim.Fgsm.attack_center obj box in
   (* F = y0 - y1 = x0 - x1; minimized at (0, 1). *)
   Util.check_vec "exact corner" [| 0.0; 1.0 |] x
+
+let test_fgsm_finds_known_counterexample () =
+  (* Example 2.2 on [-1, 2]: F is flat below x = 1, so start on its
+     slope; the one signed step reaches the face x = 2, where
+     F = 6 - 8 = -2. *)
+  let net = Nn.Init.example_2_2 () in
+  let obj = Optim.Objective.create net ~k:1 in
+  let box = Box.create ~lo:[| -1.0 |] ~hi:[| 2.0 |] in
+  let x, v = Optim.Fgsm.attack obj box ~from:[| 1.2 |] in
+  Util.check_vec "upper face" [| 2.0 |] x;
+  Util.check_true "found violation" (v <= 0.0);
+  Util.check_true "witness misclassified" (Nn.Network.classify net x <> 1)
+
+let test_fgsm_point_region () =
+  (* A degenerate region: both faces are the point itself. *)
+  let net = Nn.Init.xor () in
+  let obj = Optim.Objective.create net ~k:1 in
+  let p = [| 0.4; 0.6 |] in
+  let x, v = Optim.Fgsm.attack_center obj (Box.of_point p) in
+  Util.check_vec "returns the point" p x;
+  Util.check_close ~eps:1e-9 "value at point" (Optim.Objective.value obj p) v
 
 (* ------------------------------------------------------------------ *)
 (* Pinned optimiser output.
@@ -347,11 +384,14 @@ let () =
           Util.case "beats center value" test_pgd_beats_center_value;
           Util.case "early stop" test_pgd_early_stop;
           Util.case "degenerate region" test_pgd_point_region;
+          Util.case "restarts never hurt" test_pgd_restarts_never_hurt;
         ] );
       ( "fgsm",
         [
           Util.case "stays inside region" test_fgsm_stays_inside;
           Util.case "reaches minimizing corner" test_fgsm_moves_to_faces;
+          Util.case "finds known counterexample" test_fgsm_finds_known_counterexample;
+          Util.case "degenerate region" test_fgsm_point_region;
         ] );
       ( "pgd-golden",
         [

@@ -162,6 +162,30 @@ let test_reluplex_respects_budget () =
   | Common.Outcome.Verified | Common.Outcome.Refuted _ -> ()
   | Common.Outcome.Unknown -> Alcotest.fail "unexpected unknown"
 
+let test_reluplex_counters () =
+  (* [stable_units] is the encoding's count of units fixed by interval
+     bounds; each class opens with one LP and every case split opens at
+     least one more; a region with no unstable unit needs no split. *)
+  let check rng net box =
+    let prop =
+      Common.Property.create ~region:box
+        ~target:(Rng.int rng net.Nn.Network.output_dim) ()
+    in
+    let r = Reluplex.run net prop in
+    let enc = Reluplex.Encoding.build net box in
+    Alcotest.(check int) "stable units"
+      (Reluplex.Encoding.stable_units enc)
+      r.Reluplex.stable_units;
+    Util.check_true "an LP per split" (r.Reluplex.lp_calls > r.Reluplex.branches);
+    if r.Reluplex.stable_units = Array.length enc.Reluplex.Encoding.relus then
+      Alcotest.(check int) "no split when every unit is stable" 0
+        r.Reluplex.branches
+  in
+  Util.repeat ~seed:137 ~count:10 (fun rng _ ->
+      let net = Util.random_dense rng [ 3; 6; 2 ] in
+      check rng net (Util.small_box rng 3);
+      check rng net (Box.of_center_radius (Box.sample rng (unit_box 3)) 1e-6))
+
 let () =
   Alcotest.run "reluplex"
     [
@@ -180,6 +204,7 @@ let () =
           Util.case "agrees with sampling" test_reluplex_agrees_with_sampling;
           Util.case "agrees with charon" test_reluplex_completeness_vs_charon;
           Util.case "unknown on maxpool" test_reluplex_unknown_on_maxpool;
+          Util.case "counters" test_reluplex_counters;
           Util.case "respects budget" test_reluplex_respects_budget;
         ] );
     ]

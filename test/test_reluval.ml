@@ -164,6 +164,52 @@ let test_reluval_unknown_on_maxpool () =
   let report = Reluval.run net prop in
   Util.check_true "unknown" (report.Reluval.outcome = Common.Outcome.Unknown)
 
+let test_reluval_example_2_2 () =
+  (* F = y1 - y0 is 1 for x <= 1 and 4 - 3x above it: class 1 is robust
+     on [-1, 1], and class 0 is wrong on the left of [-1, 2], which the
+     first bisection half already shows as wholly violated, its centre
+     the witness. *)
+  let net = Nn.Init.example_2_2 () in
+  let prop hi target =
+    Common.Property.create
+      ~region:(Box.create ~lo:[| -1.0 |] ~hi:[| hi |])
+      ~target ()
+  in
+  Util.check_true "verifies [-1,1]"
+    ((Reluval.run net (prop 1.0 1)).Reluval.outcome = Common.Outcome.Verified);
+  let fragile = prop 2.0 0 in
+  match (Reluval.run net fragile).Reluval.outcome with
+  | Common.Outcome.Refuted x ->
+      Util.check_true "witness in region"
+        (Box.contains fragile.Common.Property.region x);
+      Util.check_true "witness violates"
+        (not (Common.Property.holds_at net fragile x))
+  | o -> Alcotest.failf "expected refutation, got %s" (Common.Outcome.label o)
+
+let test_reluval_agrees_with_charon () =
+  (* Both decide the same property: with budget to spare their verdicts
+     may differ only by a Timeout or Unknown, never Verified against
+     Refuted. *)
+  Util.repeat ~seed:129 ~count:8 (fun rng i ->
+      let net = Util.random_dense rng [ 2; 5; 2 ] in
+      let box = Box.of_center_radius (Box.sample rng (unit_box 2)) 0.2 in
+      let k = Rng.int rng 2 in
+      let prop = Common.Property.create ~region:box ~target:k () in
+      let rv =
+        (Reluval.run ~budget:(Common.Budget.of_steps 5_000) net prop)
+          .Reluval.outcome
+      in
+      let ch =
+        (Charon.Verify.run
+           ~budget:(Common.Budget.of_steps 20_000)
+           ~rng:(Rng.create i) ~policy:Charon.Policy.default net prop)
+          .Charon.Verify.outcome
+      in
+      Util.check_true
+        (Printf.sprintf "verdicts agree (%s vs %s)" (Common.Outcome.label rv)
+           (Common.Outcome.label ch))
+        (Common.Outcome.agrees rv ch))
+
 (* ------------------------------------------------------------------ *)
 (* Pinned ReluVal runs.
 
@@ -262,7 +308,9 @@ let () =
           Util.case "sound on random nets" test_reluval_sound_on_random_nets;
           Util.case "respects budget" test_reluval_respects_budget;
           Util.case "gradient interval dominates" test_gradient_interval_bounds_point_gradients;
+          Util.case "example 2.2 both ways" test_reluval_example_2_2;
           Util.case "unknown on maxpool" test_reluval_unknown_on_maxpool;
+          Util.case "agrees with charon" test_reluval_agrees_with_charon;
         ] );
       ( "reluval-golden",
         [ Util.case "fixed-budget runs" test_reluval_golden ] );
